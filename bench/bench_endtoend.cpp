@@ -8,7 +8,6 @@
 #include "runtime/plan_template.hpp"
 #include "systolic/enumerate.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/worker_pool.hpp"
 #include "service/executor.hpp"
 
 namespace systolize::bench {
@@ -143,9 +142,9 @@ BENCHMARK(BM_BatchSweep_Interp)->Arg(1)->Arg(8)->Arg(64);
 
 // ---------------------------------------------------------------------
 // Differential fuzzing throughput (PR10): samples generated AND driven
-// through the whole oracle — parse, compile, static verify, then every
-// backend (interp, instrumented, threads=2, bytecode solo + batch=3)
-// cross-checked against the sequential baseline. items/s is oracle
+// through the whole oracle — parse, compile, static verify, then both
+// engines (interp over build_plan and over templates, bytecode solo +
+// batch=3) cross-checked against the sequential baseline. items/s is oracle
 // verdicts per second; any disagreement fails the bench outright.
 
 void BM_FuzzThroughput(benchmark::State& state) {
@@ -305,7 +304,8 @@ void BM_SubstrateRelayChain(benchmark::State& state) {
     Scheduler sched;
     std::vector<Channel*> chans;
     for (Int i = 0; i <= stages; ++i) {
-      chans.push_back(&sched.make_channel("c" + std::to_string(i)));
+      chans.push_back(
+          &sched.make_channel(std::string("c").append(std::to_string(i))));
     }
     struct Bodies {
       static Task feed(Ctx ctx, Channel* out, Value count) {
@@ -344,48 +344,6 @@ void BM_SubstrateRelayChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * transfers);
 }
 BENCHMARK(BM_SubstrateRelayChain)->Arg(16)->Arg(64)->Arg(256);
-
-/// Parallel substrate scaling on a skewed wavefront: matmul2's triangular
-/// process space ramps from one ready process to a wide diagonal and back
-/// down, so static partitions starve while work stealing rebalances.
-/// Args are {n, threads}; threads=0 is the sequential fast-path baseline.
-/// Plan and pool are amortized across iterations (the serve model).
-void BM_SubstrateSkewedWavefront(benchmark::State& state) {
-  const Int n = state.range(0);
-  const auto threads = static_cast<unsigned>(state.range(1));
-  Design design = design_by_name("matmul2");
-  CompiledProgram prog = compile(design.nest, design.spec);
-  Env sizes = sizes_for(design, n);
-  PlanCache cache;
-  WorkerPool pool;
-  InstantiateOptions options;
-  options.plan_cache = &cache;
-  options.threads = threads;
-  options.worker_pool = &pool;
-  IndexedStore base = seeded_store(design, sizes);
-  RunMetrics last{};
-  Int steals = 0;
-  for (auto _ : state) {
-    IndexedStore store = base;
-    last = execute(prog, design.nest, sizes, store, options);
-    steals = 0;
-    for (const WorkerCounters& w : last.workers) steals += w.steals;
-    benchmark::DoNotOptimize(store);
-  }
-  state.counters["processes"] = static_cast<double>(last.process_count);
-  state.counters["makespan"] = static_cast<double>(last.makespan);
-  state.counters["steals"] = static_cast<double>(steals);
-  state.SetItemsProcessed(state.iterations() * last.total_transfers);
-}
-BENCHMARK(BM_SubstrateSkewedWavefront)
-    ->Args({8, 0})
-    ->Args({8, 2})
-    ->Args({8, 4})
-    ->Args({8, 8})
-    ->Args({12, 0})
-    ->Args({12, 4})
-    ->Args({12, 8})
-    ->UseRealTime();
 
 // ------------------------------------------------------------ service path
 // What a daemon buys over one-shot invocation: a warm serve request rides

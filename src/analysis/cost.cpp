@@ -72,7 +72,10 @@ std::string chain_formula_of(const Stream& s, const LoopNest& nest) {
       terms.push_back(extent.to_string());
     } else {
       single_unit = false;
-      terms.push_back("(" + extent.to_string() + ")/" + std::to_string(k));
+      terms.push_back(std::string("(")
+                          .append(extent.to_string())
+                          .append(")/")
+                          .append(std::to_string(k)));
     }
   }
   if (terms.empty()) return "1";

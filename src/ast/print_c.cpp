@@ -33,7 +33,11 @@ class CPrinter final : public detail::PrinterBase {
   void visit(const ChanDecl& n) override {
     std::string dims;
     for (const auto& [lo, hi] : n.ranges) {
-      dims += "[" + lo.to_string() + " .. " + hi.to_string() + "]";
+      dims.append("[")
+          .append(lo.to_string())
+          .append(" .. ")
+          .append(hi.to_string())
+          .append("]");
     }
     line("channel " + n.name + dims + ";");
   }

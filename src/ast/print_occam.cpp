@@ -37,7 +37,9 @@ class OccamPrinter final : public detail::PrinterBase {
   void visit(const ChanDecl& n) override {
     std::string dims;
     for (const auto& [lo, hi] : n.ranges) {
-      dims += "[" + (hi - lo + AffineExpr(1)).to_string() + "]";
+      dims.append("[")
+          .append((hi - lo + AffineExpr(1)).to_string())
+          .append("]");
     }
     line(dims + "CHAN OF INT " + n.name + " :");
   }

@@ -4,8 +4,8 @@
 // driven through the full differential stack —
 //
 //   parse -> compile -> static verify -> plan/template expand -> run on
-//   every eligible backend (interp fast path, instrumented scheduler,
-//   --threads=N work-stealing, bytecode VM solo and --batch=N SoA lanes)
+//   both engines (the interpreter over build_plan and over a template
+//   cache, the bytecode VM solo and over --batch=N SoA lanes)
 //
 // — with every result, makespan and transfer count cross-checked against
 // the src/baseline/ sequential ground truth, and every static-verifier
@@ -130,8 +130,6 @@ enum class Outcome {
 [[nodiscard]] bool is_disagreement(Outcome o) noexcept;
 
 struct OracleOptions {
-  /// Work-stealing width cross-checked (0 skips the threaded run).
-  unsigned threads = 2;
   /// Bytecode SoA lane count cross-checked (<= 1 skips the batched run).
   std::size_t batch = 3;
 };

@@ -78,6 +78,14 @@ bool semantic_rule(const std::string& rule) {
          rule == "schedule.place-rank" || rule == "stream.rank";
 }
 
+/// The reference column's options: the interpreter, forced (Auto would
+/// pick the VM for every clean run).
+InstantiateOptions interp_only() {
+  InstantiateOptions opt;
+  opt.backend = Backend::Interp;
+  return opt;
+}
+
 struct MetricCheck {
   std::string detail;
 
@@ -164,7 +172,7 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
     IndexedStore got = expected;
     run_sequential(design.nest, sizes, expected);
     try {
-      (void)execute(*prog, design.nest, sizes, got, {});
+      (void)execute(*prog, design.nest, sizes, got, interp_only());
     } catch (const Error& e) {
       result.outcome = Outcome::StaticReject;
       result.detail = std::string("runtime confirmed: ") + e.what();
@@ -195,15 +203,17 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
 
   std::string stage;
   try {
-    // Reference engine: the sequential interp fast path.
+    // Reference engine: the interpreter over the direct build_plan() path.
+    // Every other column differs from it in exactly one thing.
     stage = "interp";
     IndexedStore interp_store = seeded_lane(design.nest, sizes, 0);
-    const RunMetrics ref = execute(*prog, design.nest, sizes, interp_store);
+    const RunMetrics ref =
+        execute(*prog, design.nest, sizes, interp_store, interp_only());
     std::string diff = diff_stores(design.nest, expected, interp_store, stage);
 
     MetricCheck mc;
     auto check_engine = [&](const std::string& what,
-                            const InstantiateOptions& opt, bool rounds) {
+                            const InstantiateOptions& opt) {
       if (!diff.empty() || !mc.detail.empty()) return;
       stage = what;
       IndexedStore store = seeded_lane(design.nest, sizes, 0);
@@ -217,37 +227,23 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
           ref.transfers_per_stream != got.transfers_per_stream) {
         mc.detail = what + " per-stream transfer counts diverge";
       }
-      if (rounds) {
-        mc.expect_eq(ref.scheduler_rounds, got.scheduler_rounds,
-                     what + " rounds");
-      }
+      mc.expect_eq(ref.scheduler_rounds, got.scheduler_rounds,
+                   what + " rounds");
     };
 
-    // Plan-template expansion (compile_template + expand_template) instead
-    // of the direct build_plan() path.
+    // The plan builder: template expansion (compile_template +
+    // expand_template) instead of build_plan(), same engine.
     PlanCache cache;
-    InstantiateOptions templ;
+    InstantiateOptions templ = interp_only();
     templ.plan_cache = &cache;
-    check_engine("template", templ, true);
+    check_engine("template", templ);
 
-    // The instrumented scheduler (a positive round budget forces it).
-    InstantiateOptions instr;
-    instr.watchdog.max_rounds = Int{1} << 40;
-    check_engine("instrumented", instr, true);
-
-    // Work-stealing substrate; scheduler_rounds is a max over shards and
-    // legitimately differs from the sequential engines.
-    if (options.threads > 0) {
-      InstantiateOptions par;
-      par.threads = options.threads;
-      check_engine("threads", par, false);
-    }
-
-    // Bytecode VM, solo: replicates the fast loop's round structure, so
-    // even the round count must agree.
+    // The engine: the bytecode VM, solo, on the same build_plan() plan.
+    // It replicates the interpreter's round structure, so even the round
+    // count must agree.
     InstantiateOptions vm;
     vm.backend = Backend::Bytecode;
-    check_engine("bytecode", vm, true);
+    check_engine("bytecode", vm);
 
     // Bytecode SoA batch: every lane against its own sequential baseline.
     if (diff.empty() && mc.detail.empty() && options.batch > 1) {

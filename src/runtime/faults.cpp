@@ -272,10 +272,8 @@ bool FaultInjector::roll_duplicate(const Channel& chan, Int transfer_index) {
 
 void FaultInjector::record(FaultKind kind, const std::string& target,
                            Int detail) {
-  std::string entry = std::string(fault_kind_name(kind)) + " " + target +
-                      " " + std::to_string(detail);
-  std::lock_guard<std::mutex> lock(log_mu_);
-  log_.push_back(std::move(entry));
+  log_.push_back(std::string(fault_kind_name(kind)) + " " + target + " " +
+                 std::to_string(detail));
 }
 
 }  // namespace systolize

@@ -16,10 +16,13 @@
 // in tests/integration). Kills and duplicates break the communication
 // protocol; the runtime's job is then to convert the breakage into a
 // structured diagnostic — never a hang, never a silent wrong answer.
+//
+// Faults are injected only into the interpreter (runtime/scheduler):
+// Backend::Auto sends every faulted run there, and the bytecode VM
+// refuses them.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -153,10 +156,6 @@ class FaultInjector {
   [[nodiscard]] bool roll_duplicate(const Channel& chan, Int transfer_index);
 
   /// Record a fault that actually fired (scheduler calls this).
-  /// Thread-safe: on the work-stealing substrate, stall and kill faults
-  /// fire on whichever worker claimed the process. The PRNG itself is
-  /// only touched single-threaded (spawn-time rolls; delay/duplicate
-  /// rolls are rejected for parallel runs).
   void record(FaultKind kind, const std::string& target, Int detail);
 
   [[nodiscard]] const std::vector<std::string>& log() const noexcept {
@@ -170,7 +169,6 @@ class FaultInjector {
   const FaultPlan& plan_;
   SplitMix64 rng_;
   std::vector<bool> fired_;  ///< explicit specs that already fired
-  std::mutex log_mu_;        ///< guards log_ (see record)
   std::vector<std::string> log_;
 };
 

@@ -4,13 +4,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/verify.hpp"
 #include "runtime/bytecode.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/shard.hpp"
 #include "runtime/vm.hpp"
 #include "support/error.hpp"
 
@@ -32,8 +30,7 @@ std::string bytecode_blocker(const InstantiateOptions& options) {
     return "tracing (trace order is engine-specific)";
   }
   if (options.faults != nullptr && !options.faults->empty()) {
-    return "fault injection (verdicts are per instance; run faulted "
-           "instances individually through the interpreter)";
+    return "fault injection";
   }
   if (options.watchdog.max_blocked_rounds > 0) {
     return "per-process starvation bounds (--watchdog-blocked)";
@@ -41,15 +38,14 @@ std::string bytecode_blocker(const InstantiateOptions& options) {
   return {};
 }
 
-// The bytecode path shared by execute(backend=Bytecode) and
-// execute_batch: expand (or fetch) the plan, lower (or fetch) the
-// program, run all instances as SoA lanes of one VM dispatch, and
-// de-interleave the outputs back into the per-instance stores.
-// Options must already have passed bytecode_blocker().
-RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
-                        const Env& sizes, IndexedStore* stores,
-                        std::size_t batch,
-                        const InstantiateOptions& options) {
+// The plan a dispatch runs: served from the cache (or built), exported
+// to `options.network`, passed through the static verification gate, and
+// described in `metrics` (shape, cache outcome). The shared_ptr pins a
+// cached plan for the whole run: LRU eviction by a concurrent lookup must
+// not free it under us.
+std::shared_ptr<const NetworkPlan> prepare_plan(
+    const CompiledProgram& program, const LoopNest& nest, const Env& sizes,
+    const InstantiateOptions& options, RunMetrics& metrics) {
   const PlanShape shape{options.channel_capacity,
                         options.merge_internal_buffers,
                         options.partition_grid};
@@ -58,12 +54,16 @@ RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
   if (options.plan_cache != nullptr) {
     plan = options.plan_cache->lookup_or_build(program, nest, sizes, shape,
                                                &cache_stats);
+    metrics.plan_cache_bytes = options.plan_cache->bytes();
+    metrics.plan_cache_evictions = options.plan_cache->evictions();
   } else {
     plan = build_plan(program, nest, sizes, shape);
   }
   if (options.network != nullptr) *options.network = plan->graph;
 
   if (options.verify_plan) {
+    // Static verification gate: prove the schedule, guards and channel
+    // structure sound before a single process is spawned.
     VerifyReport rep = verify_program(program, nest);
     verify_plan_into(rep, *plan);
     if (rep.errors() != 0) {
@@ -73,6 +73,38 @@ RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
     }
   }
 
+  metrics.plan_reused = cache_stats.plan_hit;
+  metrics.template_reused = cache_stats.template_hit;
+  metrics.plan_expand_ns = static_cast<Int>(cache_stats.expand_ns);
+  metrics.process_count = plan->procs.size();
+  metrics.channel_count = plan->channels.size();
+  metrics.computation_processes = plan->comp_count;
+  metrics.io_processes = plan->io_count;
+  metrics.buffer_processes = plan->buffer_count;
+  metrics.physical_processors = options.partition_grid.dim() == 0
+                                    ? plan->procs.size()
+                                    : plan->clock_count;
+  return plan;
+}
+
+// Per-stream transfer totals straight off the plan's channel->stream ids.
+void fill_stream_transfers(RunMetrics& metrics, const NetworkPlan& plan,
+                           const std::vector<Int>& channel_transfers) {
+  for (const std::string& stream : plan.streams) {
+    metrics.transfers_per_stream[stream] = 0;
+  }
+  for (std::size_t c = 0; c < plan.channels.size(); ++c) {
+    metrics.transfers_per_stream[plan.streams[plan.channels[c].stream]] +=
+        channel_transfers[c];
+  }
+}
+
+// The VM: lower (or fetch) the program, run every instance as an SoA lane
+// of one dispatch, and de-interleave the outputs back into the stores.
+// Options must already have passed bytecode_blocker().
+void run_on_vm(const std::shared_ptr<const NetworkPlan>& plan,
+               IndexedStore* stores, std::size_t batch,
+               const InstantiateOptions& options, RunMetrics& metrics) {
   std::shared_ptr<const BytecodeProgram> prog;
   PlanCache::BytecodeStats bc_stats;
   if (options.plan_cache != nullptr) {
@@ -130,22 +162,7 @@ RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
     }
   }
 
-  RunMetrics metrics;
-  metrics.plan_reused = cache_stats.plan_hit;
-  metrics.template_reused = cache_stats.template_hit;
-  metrics.plan_expand_ns = static_cast<Int>(cache_stats.expand_ns);
-  if (options.plan_cache != nullptr) {
-    metrics.plan_cache_bytes = options.plan_cache->bytes();
-    metrics.plan_cache_evictions = options.plan_cache->evictions();
-  }
-  metrics.process_count = plan->procs.size();
-  metrics.channel_count = plan->channels.size();
-  metrics.computation_processes = plan->comp_count;
-  metrics.io_processes = plan->io_count;
-  metrics.buffer_processes = plan->buffer_count;
-  metrics.physical_processors = plan->procs.size();  // no partitioning
   metrics.backend = "bytecode";
-  metrics.batch = batch;
   metrics.bytecode_reused = bc_stats.hit;
   metrics.bytecode_lower_ns = static_cast<Int>(bc_stats.lower_ns);
   metrics.bytecode_instructions = prog->instruction_count();
@@ -153,259 +170,90 @@ RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
   metrics.total_transfers = result.total_transfers;
   metrics.statements = result.statements;
   metrics.scheduler_rounds = result.rounds;
-  for (const std::string& stream : plan->streams) {
-    metrics.transfers_per_stream[stream] = 0;
+  fill_stream_transfers(metrics, *plan, result.channel_transfers);
+}
+
+// The interpreter: stand the network up on the coroutine scheduler and
+// run one instance. Output processes write through to the store, so a
+// faulted run's partial results stay observable.
+void run_on_interp(const NetworkPlan& plan, IndexedStore& store,
+                   const InstantiateOptions& options, RunMetrics& metrics) {
+  // Gather every input pipe's values into one flat buffer up front;
+  // outputs are only written during the run, so a bulk pre-run gather
+  // reads exactly the values a pipe-by-pipe read would.
+  std::vector<Value> in_values(plan.elems.size(), 0);
+  for (const NetworkPlan::ProcSpec& spec : plan.procs) {
+    if (spec.kind != NetworkPlan::ProcKind::Input) continue;
+    store.gather(plan.streams[spec.stream],
+                 plan.elems.data() + spec.elem_begin,
+                 spec.elem_end - spec.elem_begin,
+                 in_values.data() + spec.elem_begin);
   }
-  for (std::size_t c = 0; c < plan->channels.size(); ++c) {
-    metrics.transfers_per_stream[plan->streams[plan->channels[c].stream]] +=
-        result.channel_transfers[c];
+
+  Scheduler sched;
+  std::optional<FaultInjector> injector;
+  if (options.faults != nullptr && !options.faults->empty()) {
+    injector.emplace(*options.faults);
+    sched.set_fault_injector(&*injector);
   }
-  return metrics;
+  sched.set_watchdog(options.watchdog);
+
+  // Physical-processor clocks for partitioned runs; processes hold raw
+  // pointers into this vector until the scheduler is destroyed.
+  std::vector<Clock> clocks(plan.clock_count);
+  std::vector<Channel*> chans;
+  chans.reserve(plan.channels.size());
+  for (const NetworkPlan::ChannelSpec& spec : plan.channels) {
+    chans.push_back(&sched.make_channel(spec.name, spec.capacity));
+  }
+  PlanBindings bindings;
+  bindings.plan = &plan;
+  bindings.in_values = in_values.data();
+  bindings.store = &store;
+  bindings.trace = options.trace;
+  std::vector<Process*> procs;
+  procs.reserve(plan.procs.size());
+  for (std::uint32_t pi = 0; pi < plan.procs.size(); ++pi) {
+    procs.push_back(
+        &spawn_plan_proc(sched, pi, chans.data(), clocks.data(), bindings));
+  }
+  // Declare both endpoints of every channel so deadlock forensics can
+  // follow wait-for edges through processes that never touched them.
+  for (std::size_t c = 0; c < plan.channels.size(); ++c) {
+    const NetworkPlan::ChannelSpec& spec = plan.channels[c];
+    if (spec.sender >= 0) chans[c]->declare_sender(*procs[spec.sender]);
+    if (spec.receiver >= 0) chans[c]->declare_receiver(*procs[spec.receiver]);
+  }
+
+  sched.run();
+
+  metrics.scheduler_rounds = sched.round();
+  metrics.faults_injected = injector ? injector->injected() : 0;
+  metrics.makespan = sched.makespan();
+  metrics.total_transfers = sched.total_transfers();
+  metrics.statements = 0;
+  for (const Process& p : sched.processes()) metrics.statements += p.statements;
+  std::vector<Int> channel_transfers;
+  channel_transfers.reserve(chans.size());
+  for (const Channel* chan : chans) {
+    channel_transfers.push_back(chan->transfers());
+  }
+  fill_stream_transfers(metrics, plan, channel_transfers);
 }
 
 }  // namespace
 
-// Instantiation is now plan-driven: the symbolic program is lowered once
-// into an interned NetworkPlan (runtime/plan_cache — dense process and
-// channel ids, flat element slices, the legacy spawn order preserved) and
-// execute() only stands the network up and runs it. With a PlanCache
+// Instantiation is plan-driven: the symbolic program is lowered once into
+// an interned NetworkPlan (runtime/plan_cache — dense process and channel
+// ids, flat element slices, the legacy spawn order preserved) and a
+// dispatch only stands the network up and runs it. With a PlanCache
 // attached, the symbolic derivation is compiled once per (program, shape)
 // into a PlanTemplate and each new size costs only an integer expansion;
 // repeated executions at a known size skip even that.
 RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
                    const Env& sizes, IndexedStore& store,
                    const InstantiateOptions& options) {
-  if (options.backend == Backend::Bytecode) {
-    const std::string blocker = bytecode_blocker(options);
-    if (!blocker.empty()) {
-      raise(ErrorKind::Validation,
-            "the bytecode backend cannot run with " + blocker +
-                "; use --backend=interp");
-    }
-    return run_bytecode(program, nest, sizes, &store, 1, options);
-  }
-  const PlanShape shape{options.channel_capacity,
-                        options.merge_internal_buffers,
-                        options.partition_grid};
-  std::unique_ptr<NetworkPlan> local_plan;
-  std::shared_ptr<const NetworkPlan> cached_plan;
-  const NetworkPlan* plan = nullptr;
-  PlanCache::LookupStats cache_stats;
-  if (options.plan_cache != nullptr) {
-    // Keep a shared_ptr for the whole run: LRU eviction by a concurrent
-    // lookup must not free the plan under us.
-    cached_plan = options.plan_cache->lookup_or_build(program, nest, sizes,
-                                                      shape, &cache_stats);
-    plan = cached_plan.get();
-  } else {
-    local_plan = build_plan(program, nest, sizes, shape);
-    plan = local_plan.get();
-  }
-  if (options.network != nullptr) *options.network = plan->graph;
-
-  if (options.verify_plan) {
-    // Static verification gate: prove the schedule, guards and channel
-    // structure sound before a single process is spawned.
-    VerifyReport rep = verify_program(program, nest);
-    verify_plan_into(rep, *plan);
-    if (rep.errors() != 0) {
-      raise(ErrorKind::Validation,
-            "static plan verification failed:\n" + rep.to_string(),
-            rep.to_json());
-    }
-  }
-
-  const bool faulted =
-      options.faults != nullptr && !options.faults->empty();
-  const bool instrumented = faulted || options.watchdog.max_rounds > 0 ||
-                            options.watchdog.max_blocked_rounds > 0 ||
-                            options.watchdog.cancel != nullptr;
-
-  const unsigned threads = options.threads;
-  if (threads > 1) {
-    // The work-stealing substrate keeps results bit-identical to the
-    // sequential schedule only when nothing depends on arrival order or
-    // on schedule-order PRNG state; anything else must run sequentially.
-    if (options.trace != nullptr) {
-      raise(ErrorKind::Validation,
-            "parallel execution (threads > 1) cannot be combined with "
-            "tracing (trace order is schedule-dependent); run traced "
-            "modes sequentially");
-    }
-    if (faulted) {
-      for (const FaultSpec& spec : options.faults->specs()) {
-        if (spec.kind == FaultKind::Delay ||
-            spec.kind == FaultKind::Duplicate) {
-          raise(ErrorKind::Validation,
-                "parallel execution cannot inject transfer faults "
-                "(delay/duplicate): their PRNG state is consumed in "
-                "schedule order; stall/kill faults roll at spawn time "
-                "and are allowed");
-        }
-      }
-      const FaultProfile& prof = options.faults->profile();
-      if (prof.delay_probability > 0.0 ||
-          prof.duplicate_probability > 0.0) {
-        raise(ErrorKind::Validation,
-              "parallel execution cannot inject transfer faults "
-              "(delay/duplicate): their PRNG state is consumed in "
-              "schedule order; stall/kill faults roll at spawn time "
-              "and are allowed");
-      }
-    }
-    if (options.watchdog.max_blocked_rounds > 0) {
-      raise(ErrorKind::Validation,
-            "parallel execution cannot enforce per-process starvation "
-            "bounds (--watchdog-blocked): they are defined in sequential "
-            "scheduler rounds; use --watchdog-rounds or a wall-clock "
-            "deadline instead");
-    }
-    if (options.channel_capacity > 0 || options.merge_internal_buffers) {
-      raise(ErrorKind::Validation,
-            "parallel execution requires pure rendezvous channels "
-            "(capacity 0, unmerged internal buffers): buffered hand-off "
-            "timestamps depend on arrival order");
-    }
-    if (options.partition_grid.dim() != 0) {
-      raise(ErrorKind::Validation,
-            "parallel execution cannot be combined with partitioning "
-            "(partition blocks share a logical clock across workers)");
-    }
-  }
-
-  // Gather every input pipe's values into one flat buffer up front. The
-  // legacy path read the store pipe-by-pipe while building the network;
-  // outputs are only written during/after the run, so a bulk pre-run
-  // gather reads exactly the same values.
-  std::vector<Value> in_values(plan->elems.size(), 0);
-  for (const NetworkPlan::ProcSpec& spec : plan->procs) {
-    if (spec.kind != NetworkPlan::ProcKind::Input) continue;
-    store.gather(plan->streams[spec.stream],
-                 plan->elems.data() + spec.elem_begin,
-                 spec.elem_end - spec.elem_begin,
-                 in_values.data() + spec.elem_begin);
-  }
-
-  RunMetrics metrics;
-  metrics.plan_reused = cache_stats.plan_hit;
-  metrics.template_reused = cache_stats.template_hit;
-  metrics.plan_expand_ns = static_cast<Int>(cache_stats.expand_ns);
-  if (options.plan_cache != nullptr) {
-    metrics.plan_cache_bytes = options.plan_cache->bytes();
-    metrics.plan_cache_evictions = options.plan_cache->evictions();
-  }
-  metrics.process_count = plan->procs.size();
-  metrics.channel_count = plan->channels.size();
-  metrics.computation_processes = plan->comp_count;
-  metrics.io_processes = plan->io_count;
-  metrics.buffer_processes = plan->buffer_count;
-  metrics.physical_processors = options.partition_grid.dim() == 0
-                                    ? plan->procs.size()
-                                    : plan->clock_count;
-
-  // Fast and sharded paths extract into a flat buffer committed after a
-  // successful run; the instrumented path keeps the legacy write-through
-  // output processes so a faulted run's partial results stay observable.
-  std::vector<Value> out_values;
-  std::vector<Int> channel_transfers;
-
-  if (threads > 1) {
-    out_values.assign(plan->elems.size(), 0);
-    std::optional<FaultInjector> injector;
-    ShardRunOptions sopt;
-    sopt.watchdog = options.watchdog;
-    sopt.pool = options.worker_pool;
-    if (faulted) {
-      injector.emplace(*options.faults);
-      sopt.injector = &*injector;
-    }
-    ShardRunStats stats = run_sharded(*plan, threads, in_values.data(),
-                                      out_values.data(), sopt);
-    metrics.makespan = stats.makespan;
-    metrics.statements = stats.statements;
-    metrics.total_transfers = stats.total_transfers;
-    metrics.scheduler_rounds = stats.rounds;
-    metrics.shards = stats.shards;
-    metrics.workers = std::move(stats.workers);
-    metrics.faults_injected = injector ? injector->injected() : 0;
-    channel_transfers = std::move(stats.channel_transfers);
-  } else {
-    Scheduler sched;
-    std::optional<FaultInjector> injector;
-    if (faulted) {
-      injector.emplace(*options.faults);
-      sched.set_fault_injector(&*injector);
-    }
-    sched.set_watchdog(options.watchdog);
-
-    // Physical-processor clocks for partitioned runs; processes hold raw
-    // pointers into this vector until the scheduler is destroyed.
-    std::vector<Clock> clocks(plan->clock_count);
-    std::vector<Channel*> chans;
-    chans.reserve(plan->channels.size());
-    for (const NetworkPlan::ChannelSpec& spec : plan->channels) {
-      chans.push_back(&sched.make_channel(spec.name, spec.capacity));
-    }
-    if (!instrumented) out_values.assign(plan->elems.size(), 0);
-    PlanBindings bindings;
-    bindings.plan = plan;
-    bindings.in_values = in_values.data();
-    bindings.out_values = instrumented ? nullptr : out_values.data();
-    bindings.store = &store;
-    bindings.trace = options.trace;
-    std::vector<Process*> procs;
-    procs.reserve(plan->procs.size());
-    for (std::uint32_t pi = 0; pi < plan->procs.size(); ++pi) {
-      procs.push_back(
-          &spawn_plan_proc(sched, pi, chans.data(), clocks.data(), bindings));
-    }
-    // Declare both endpoints of every channel so deadlock forensics can
-    // follow wait-for edges through processes that never touched them.
-    for (std::size_t c = 0; c < plan->channels.size(); ++c) {
-      const NetworkPlan::ChannelSpec& spec = plan->channels[c];
-      if (spec.sender >= 0) chans[c]->declare_sender(*procs[spec.sender]);
-      if (spec.receiver >= 0) {
-        chans[c]->declare_receiver(*procs[spec.receiver]);
-      }
-    }
-
-    sched.run();
-
-    metrics.scheduler_rounds = sched.round();
-    metrics.faults_injected = injector ? injector->injected() : 0;
-    metrics.makespan = sched.makespan();
-    metrics.total_transfers = sched.total_transfers();
-    for (const Process& p : sched.processes()) {
-      metrics.statements += p.statements;
-    }
-    channel_transfers.reserve(chans.size());
-    for (const Channel* chan : chans) {
-      channel_transfers.push_back(chan->transfers());
-    }
-  }
-
-  // Commit extracted values (fast/sharded paths only; the instrumented
-  // path already wrote through).
-  if (!out_values.empty()) {
-    for (const NetworkPlan::ProcSpec& spec : plan->procs) {
-      if (spec.kind != NetworkPlan::ProcKind::Output) continue;
-      store.scatter(plan->streams[spec.stream],
-                    plan->elems.data() + spec.elem_begin,
-                    spec.elem_end - spec.elem_begin,
-                    out_values.data() + spec.elem_begin);
-    }
-  }
-
-  // Per-stream transfer totals straight off the plan's channel->stream
-  // ids (the legacy path re-parsed "<stream>[pipe].link" display names).
-  for (const std::string& stream : plan->streams) {
-    metrics.transfers_per_stream[stream] = 0;
-  }
-  for (std::size_t c = 0; c < plan->channels.size(); ++c) {
-    metrics.transfers_per_stream[plan->streams[plan->channels[c].stream]] +=
-        channel_transfers[c];
-  }
-  return metrics;
+  return execute_batch(program, nest, sizes, &store, 1, options);
 }
 
 RunMetrics execute_batch(const CompiledProgram& program, const LoopNest& nest,
@@ -415,7 +263,7 @@ RunMetrics execute_batch(const CompiledProgram& program, const LoopNest& nest,
   if (batch == 0) {
     raise(ErrorKind::Validation, "execute_batch requires batch >= 1");
   }
-  if (options.faults != nullptr && !options.faults->empty()) {
+  if (batch > 1 && options.faults != nullptr && !options.faults->empty()) {
     raise(ErrorKind::Validation,
           "batched execution cannot inject faults: fault verdicts are per "
           "instance; run faulted instances individually through execute()");
@@ -426,23 +274,20 @@ RunMetrics execute_batch(const CompiledProgram& program, const LoopNest& nest,
           "the bytecode backend cannot run with " + blocker +
               "; use --backend=interp");
   }
-  const bool use_vm =
-      options.backend == Backend::Bytecode ||
-      (options.backend == Backend::Auto && batch > 1 && blocker.empty());
-  if (use_vm) return run_bytecode(program, nest, sizes, stores, batch, options);
-
-  // Interpreter fallback: the batch is just `batch` independent runs of
-  // the same plan (served from the cache after the first). The schedule
-  // metrics are identical per instance, so the first run's describe the
-  // batch.
-  InstantiateOptions per = options;
-  per.backend = Backend::Interp;
   RunMetrics metrics;
-  for (std::size_t i = 0; i < batch; ++i) {
-    RunMetrics m = execute(program, nest, sizes, stores[i], per);
-    if (i == 0) metrics = std::move(m);
-  }
   metrics.batch = batch;
+  const std::shared_ptr<const NetworkPlan> plan =
+      prepare_plan(program, nest, sizes, options, metrics);
+  if (options.backend != Backend::Interp && blocker.empty()) {
+    run_on_vm(plan, stores, batch, options, metrics);
+    return metrics;
+  }
+  // The interpreter runs a batch as `batch` independent instances of the
+  // one plan; the schedule metrics are identical per instance.
+  if (options.backend == Backend::Auto) metrics.fallback_reason = blocker;
+  for (std::size_t i = 0; i < batch; ++i) {
+    run_on_interp(*plan, stores[i], options, metrics);
+  }
   return metrics;
 }
 

@@ -25,16 +25,17 @@ class WorkerPool;
 
 /// Which engine executes the expanded plan.
 ///
-///   * Auto — single-instance runs take the coroutine scheduler exactly
-///     as before; batched runs (execute_batch with batch > 1) take the
-///     bytecode VM when the options are eligible and fall back to a
-///     sequential per-instance interp loop otherwise.
-///   * Interp — force the coroutine scheduler (batched runs loop over
-///     instances sequentially; the baseline the batching benchmarks
-///     compare against).
+///   * Auto — the bytecode VM for every run it can take, solo or batched,
+///     with or without a round budget and cancel token. Options the VM
+///     cannot honour (capacity, merged buffers, partitioning, tracing,
+///     faults, starvation bounds) send the run to the interpreter, and
+///     RunMetrics::fallback_reason names the option.
+///   * Interp — force the coroutine interpreter (runtime/scheduler), the
+///     reference and forensics engine; batches run instance by instance.
 ///   * Bytecode — force the lowered VM (runtime/bytecode + runtime/vm);
-///     incompatible options raise Error(Validation). Bit-identical to
-///     the interpreted fast path via the dataflow clocks.
+///     incompatible options raise Error(Validation).
+/// Both engines are bit-identical in results, makespan, transfers,
+/// statements and scheduler rounds.
 enum class Backend { Auto, Interp, Bytecode };
 
 struct InstantiateOptions {
@@ -64,19 +65,16 @@ struct InstantiateOptions {
   /// blocked time (0 = disabled). Turns livelock/starvation into a
   /// structured Error(Runtime) with a forensic report.
   WatchdogConfig watchdog;
-  /// Parallel execution on the work-stealing substrate: number of worker
-  /// threads (0 or 1 = sequential). Results, makespan and transfer counts
-  /// are bit-identical to a sequential run (see runtime/shard.hpp for the
-  /// determinism argument). Requires pure rendezvous channels and no
-  /// partitioning or tracing; round budgets (`watchdog.max_rounds`),
-  /// cancel tokens, and stall/kill fault injection are supported, but
-  /// starvation bounds (`max_blocked_rounds`) and transfer-time faults
-  /// (delay/duplicate) are sequential-only — incompatible combinations
-  /// raise Error(Validation).
+  /// Lane-chunk workers of a batched VM dispatch (run_vm_batched): the
+  /// SoA lanes split into up to `threads` contiguous chunks, each running
+  /// the whole schedule over its own lanes (0 or 1 = the caller runs every
+  /// lane). A solo run has one lane and runs on the caller; interpreter
+  /// runs ignore this. Results are bit-identical for any value.
   unsigned threads = 0;
-  /// Thread pool for parallel runs; when null, each run spawns its own
-  /// threads. The service layer shares one pool across requests so warm
-  /// traffic skips per-run thread creation. Must outlive the call.
+  /// Thread pool the lane chunks borrow workers from; when null, each
+  /// dispatch spawns its own threads. The service layer shares one pool
+  /// across requests so warm traffic skips per-run thread creation. Must
+  /// outlive the call.
   WorkerPool* worker_pool = nullptr;
   /// When non-null, plans are served from this two-level cache: the
   /// symbolic derivation is compiled once per (program, shape) into a
@@ -89,10 +87,7 @@ struct InstantiateOptions {
   /// Error(Validation) with the verify report as message and its JSON as
   /// the diagnostic payload. Costs zero scheduler rounds.
   bool verify_plan = false;
-  /// Execution engine selection (see Backend). The bytecode VM requires
-  /// pure rendezvous channels (capacity 0, unmerged buffers), no
-  /// partitioning, no tracing, no fault injection and no starvation
-  /// bound; round budgets and cancel tokens are supported.
+  /// Execution engine selection (see Backend).
   Backend backend = Backend::Auto;
 };
 
@@ -109,10 +104,10 @@ struct InstantiateOptions {
 /// outputs. All instances share the schedule (it is value-independent),
 /// so on the bytecode backend the whole batch runs as SoA lanes of a
 /// single VM dispatch — plan expansion, lowering and all per-transfer
-/// control cost are paid once for the batch. Backend::Interp (or an
-/// ineligible Auto) degrades to a sequential per-instance loop with
-/// identical results. The returned metrics describe the shared schedule
-/// (identical for every instance) with `batch` set.
+/// control cost are paid once for the batch. On the interpreter the batch
+/// runs instance by instance with identical results. The returned metrics
+/// describe the shared schedule (identical for every instance) with
+/// `batch` set. execute() is the one-instance case.
 ///
 /// Fault injection is per-instance by nature (a kill produces a verdict
 /// for one instance, not the batch), so `options.faults` must be empty —

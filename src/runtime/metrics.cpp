@@ -47,19 +47,6 @@ std::string RunMetrics::to_string() const {
   if (faults_injected > 0) {
     os << " rounds=" << scheduler_rounds << " faults=" << faults_injected;
   }
-  if (shards > 0) os << " shards=" << shards;
-  if (!workers.empty()) {
-    Int steals = 0;
-    Int tasks = 0;
-    Int idle_ns = 0;
-    for (const WorkerCounters& w : workers) {
-      steals += w.steals;
-      tasks += w.tasks;
-      idle_ns += w.idle_ns;
-    }
-    os << " steals=" << steals << "/" << tasks << " idle_us="
-       << idle_ns / 1000;
-  }
   if (plan_reused) {
     os << " plan=cached";
   } else if (template_reused) {
@@ -75,6 +62,9 @@ std::string RunMetrics::to_string() const {
     } else if (bytecode_lower_ns > 0) {
       os << " program=lowered(" << bytecode_lower_ns << "ns)";
     }
+  }
+  if (!fallback_reason.empty()) {
+    os << " backend=interp fallback=\"" << fallback_reason << '"';
   }
   if (batch > 1) os << " batch=" << batch;
   return os.str();
@@ -93,13 +83,13 @@ std::string RunMetrics::to_json() const {
      << ",\"physical_processors\":" << physical_processors
      << ",\"scheduler_rounds\":" << scheduler_rounds
      << ",\"faults_injected\":" << faults_injected
-     << ",\"shards\":" << shards
      << ",\"plan_reused\":" << (plan_reused ? "true" : "false")
      << ",\"template_reused\":" << (template_reused ? "true" : "false")
      << ",\"plan_expand_ns\":" << plan_expand_ns
      << ",\"plan_cache_bytes\":" << plan_cache_bytes
      << ",\"plan_cache_evictions\":" << plan_cache_evictions
      << ",\"backend\":\"" << json_escape(backend) << '"'
+     << ",\"fallback_reason\":\"" << json_escape(fallback_reason) << '"'
      << ",\"batch\":" << batch
      << ",\"bytecode_reused\":" << (bytecode_reused ? "true" : "false")
      << ",\"bytecode_lower_ns\":" << bytecode_lower_ns
@@ -111,15 +101,7 @@ std::string RunMetrics::to_json() const {
     first = false;
     os << '"' << json_escape(stream) << "\":" << count;
   }
-  os << "},\"workers\":[";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const WorkerCounters& w = workers[i];
-    if (i != 0) os << ',';
-    os << "{\"steals\":" << w.steals
-       << ",\"failed_steals\":" << w.failed_steals << ",\"tasks\":" << w.tasks
-       << ",\"idle_ns\":" << w.idle_ns << '}';
-  }
-  os << "]}";
+  os << "}}";
   return os.str();
 }
 

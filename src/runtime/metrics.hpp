@@ -9,17 +9,6 @@
 
 namespace systolize {
 
-/// What one worker of the work-stealing substrate did during a parallel
-/// run (runtime/shard). All counters are exact; `idle_ns` is wall time
-/// the worker spent with no claimable process (spinning/yielding), the
-/// direct measure of load imbalance.
-struct WorkerCounters {
-  Int steals = 0;        ///< processes claimed off another worker's queue
-  Int failed_steals = 0; ///< steal attempts that lost the claim race
-  Int tasks = 0;         ///< process resumptions executed
-  Int idle_ns = 0;       ///< wall nanoseconds spent idle
-};
-
 struct RunMetrics {
   Int makespan = 0;          ///< logical parallel time (max local clock)
   Int total_transfers = 0;   ///< messages moved across all channels
@@ -32,11 +21,9 @@ struct RunMetrics {
   /// Physical processors after partitioning (== process_count when
   /// unpartitioned).
   std::size_t physical_processors = 0;
-  Int scheduler_rounds = 0;  ///< cooperative rounds the run took; on a
-                             ///< sharded run, the max over the shards'
-                             ///< counters (not schedule-invariant)
+  Int scheduler_rounds = 0;  ///< cooperative rounds the run took (the
+                             ///< same on either engine)
   Int faults_injected = 0;   ///< faults that actually fired (0 = clean run)
-  std::size_t shards = 0;    ///< worker shards of a parallel run (0 = seq.)
   bool plan_reused = false;  ///< network plan came from a PlanCache hit
   /// Plan came from a cached PlanTemplate (compile-once stage skipped);
   /// true on every cache interaction after the first for a (program,
@@ -52,6 +39,9 @@ struct RunMetrics {
   /// Execution backend that ran the plan: "interp" (the coroutine
   /// scheduler) or "bytecode" (the lowered VM, runtime/vm.hpp).
   std::string backend = "interp";
+  /// Why Backend::Auto kept this run off the VM: the option that blocked
+  /// it (empty when the VM ran it or the backend was forced).
+  std::string fallback_reason;
   /// Problem instances executed by this dispatch (SoA lanes); 1 means an
   /// ordinary single-instance run. All schedule metrics above are per
   /// schedule, not per instance — lanes share one schedule by design.
@@ -64,8 +54,6 @@ struct RunMetrics {
   /// Instruction count of the lowered program (0 on interp runs).
   std::size_t bytecode_instructions = 0;
   std::map<std::string, Int> transfers_per_stream;
-  /// Per-worker substrate counters of a parallel run (empty = sequential).
-  std::vector<WorkerCounters> workers;
 
   /// Fraction of computation-process time spent executing statements:
   /// statements / (computation processes * makespan). D.1's processes all

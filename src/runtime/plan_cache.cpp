@@ -291,7 +291,6 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
     spec.coords = y;
     spec.place = y;
     spec.role_begin = plan.roles.size();
-    std::size_t moving = 0;
     for (std::uint32_t stream_id = 0; stream_id < program.streams.size();
          ++stream_id) {
       const StreamPlan& splan = program.streams[stream_id];
@@ -312,7 +311,6 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
       role.chan_out = port.out;
       plan.channels[port.in].receiver = id;
       plan.channels[port.out].sender = id;
-      if (!role.stationary) ++moving;
       // Conservation law: everything that enters a process leaves it.
       Int through = role.stationary ? role.soak + role.drain + 1
                                     : role.soak + spec.count + role.drain;
@@ -328,11 +326,7 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
     spec.role_end = plan.roles.size();
     plan.procs.push_back(std::move(spec));
     ++plan.comp_count;
-    plan.max_par_ops = std::max(plan.max_par_ops, moving);
-    plan.total_par_bound += std::max<std::size_t>(1, moving);
   }
-  // Every i/o and buffer process has at most one op outstanding.
-  plan.total_par_bound += plan.io_count + plan.buffer_count;
   plan.clock_count = clock_ids.size();
   return plan_ptr;
 }
@@ -648,14 +642,6 @@ Task plan_input_body(Ctx ctx, Channel* chan, const Value* values,
   }
 }
 
-Task plan_output_flat_body(Ctx ctx, Channel* chan, Value* out, Int count) {
-  for (Int i = 0; i < count; ++i) {
-    Value v = 0;
-    co_await ctx.recv(*chan, v);
-    out[i] = v;
-  }
-}
-
 Task plan_output_store_body(Ctx ctx, Channel* chan, const NetworkPlan* plan,
                             std::uint32_t pi, IndexedStore* store) {
   const NetworkPlan::ProcSpec& spec = plan->procs[pi];
@@ -801,16 +787,6 @@ Process& spawn_plan_proc(Scheduler& sched, std::uint32_t pi,
     }
     case NetworkPlan::ProcKind::Output: {
       Channel* in = chans[spec.chan_in];
-      if (bindings.out_values != nullptr) {
-        Value* out = bindings.out_values + spec.elem_begin;
-        const Int count = spec.count;
-        return sched.spawn(
-            spec.name,
-            [in, out, count](Ctx ctx) {
-              return plan_output_flat_body(ctx, in, out, count);
-            },
-            clock);
-      }
       const NetworkPlan* p = bindings.plan;
       IndexedStore* store = bindings.store;
       return sched.spawn(

@@ -95,7 +95,7 @@ struct NetworkPlan {
     std::size_t role_begin = 0, role_end = 0;
     IntVec first_x;  ///< Comp: first statement of the chord
     IntVec coords;   ///< Comp: the PS point (trace identity)
-    IntVec place;    ///< PS point the process sits at (shard locality key)
+    IntVec place;    ///< PS point the process sits at
   };
 
   std::vector<std::string> streams;   ///< stream names, by stream id
@@ -109,10 +109,7 @@ struct NetworkPlan {
   std::size_t comp_count = 0;
   std::size_t io_count = 0;
   std::size_t buffer_count = 0;
-  std::size_t max_par_ops = 0;    ///< widest par set of any process
-  std::size_t total_par_bound = 0;///< sum of per-process par widths — a
-                                  ///< bound on simultaneously parked ops
-  IntVec ps_min, ps_max;          ///< PS box (shard partitioning)
+  IntVec ps_min, ps_max;          ///< PS box (partition blocks)
   NetworkGraph graph;             ///< topology, built once
 
   /// Approximate deep heap footprint (vectors, strings, the graph) —
@@ -265,23 +262,19 @@ class PlanCache {
 };
 
 /// Per-run bindings for the plan's process bodies: where input values
-/// come from and where extracted ones go. Exactly one of `out_values`
-/// (fast/sharded path: flat buffer, committed after the run) and `store`
-/// (instrumented path: write-through, preserving partial results on
-/// faulted runs) is used by output processes.
+/// come from and where extracted ones go. Output processes write through
+/// to `store`, so a faulted run's partial results stay observable.
 struct PlanBindings {
   const NetworkPlan* plan = nullptr;
   const Value* in_values = nullptr;  ///< aligned with plan->elems
-  Value* out_values = nullptr;       ///< aligned with plan->elems
   IndexedStore* store = nullptr;
   Trace* trace = nullptr;
 };
 
 /// Spawn plan process `pi` into `sched`. `chans[i]` must resolve plan
-/// channel id i (channels may live in other schedulers on sharded runs);
-/// `clocks` backs the plan's shared-clock ids (may be null when the plan
-/// is unpartitioned). The plan, channel table and value buffers must
-/// outlive the run.
+/// channel id i; `clocks` backs the plan's shared-clock ids (may be null
+/// when the plan is unpartitioned). The plan, channel table and value
+/// buffers must outlive the run.
 Process& spawn_plan_proc(Scheduler& sched, std::uint32_t pi,
                          Channel* const* chans, Clock* clocks,
                          const PlanBindings& bindings);

@@ -573,7 +573,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     spec.coords = y;
     spec.place = y;
     spec.role_begin = plan.roles.size();
-    std::size_t moving = 0;
     for (std::uint32_t stream_id = 0; stream_id < nstreams; ++stream_id) {
       const PlanTemplate::StreamTemplate& st = tmpl.streams[stream_id];
       NetworkPlan::RoleSpec role;
@@ -593,7 +592,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       role.chan_out = port.out;
       plan.channels[port.in].receiver = id;
       plan.channels[port.out].sender = id;
-      if (!role.stationary) ++moving;
       // Conservation law: everything that enters a process leaves it.
       Int through = role.stationary ? role.soak + role.drain + 1
                                     : role.soak + spec.count + role.drain;
@@ -609,11 +607,7 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     spec.role_end = plan.roles.size();
     plan.procs.push_back(std::move(spec));
     ++plan.comp_count;
-    plan.max_par_ops = std::max(plan.max_par_ops, moving);
-    plan.total_par_bound += std::max<std::size_t>(1, moving);
   }
-  // Every i/o and buffer process has at most one op outstanding.
-  plan.total_par_bound += plan.io_count + plan.buffer_count;
   plan.clock_count = clock_ids.size();
   return plan_ptr;
 }

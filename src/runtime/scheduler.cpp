@@ -1,7 +1,6 @@
 #include "runtime/scheduler.hpp"
 
 #include <limits>
-#include <sstream>
 
 #include "runtime/faults.hpp"
 #include "support/error.hpp"
@@ -14,9 +13,9 @@ void Task::promise_type::unhandled_exception() noexcept {
 
 // ---------------------------------------------------------------- Channel
 //
-// The fast-path machinery (try_complete, park, complete_counterpart and
-// the after_transfer shell) is defined inline in scheduler.hpp; this file
-// keeps only the slow halves that run with faults or a watchdog attached.
+// The communication machinery (try_complete, park, complete_counterpart
+// and the after_transfer shell) is defined inline in scheduler.hpp; this
+// file keeps only the slow halves that run with faults attached.
 
 namespace {
 
@@ -80,13 +79,12 @@ void Channel::match_parked() {
 
 // ----------------------------------------------------------- CommAwaiter
 
-bool CommAwaiter::ready_instrumented() {
+bool CommAwaiter::ready_faulted() {
   // Ops were already issued by the inline await_ready. Roll injected
   // transfer delays once per issued op; a delayed op is forced to suspend
   // and is offered to its channel only after the delay elapses
   // (await_suspend hands it to the scheduler).
-  Process& p = ctx_.process();
-  FaultInjector* inj = p.sched->injector();
+  FaultInjector* inj = ctx_.process().sched->injector();
   for (std::size_t i = 0; i < count_; ++i) {
     ops_[i].fault_delay = inj->roll_delay(*ops_[i].chan);
   }
@@ -100,29 +98,6 @@ bool CommAwaiter::ready_instrumented() {
     if (!op.chan->try_complete(op)) all = false;
   }
   return all;
-}
-
-void CommAwaiter::suspend_instrumented() {
-  Process& p = ctx_.process();
-  Scheduler* sched = p.sched;
-  p.pending = 0;
-  std::ostringstream blocked;
-  for (std::size_t i = 0; i < count_; ++i) {
-    CommOp& op = ops_[i];
-    if (op.done) continue;
-    ++p.pending;
-    if (p.pending > 1) blocked << ", ";
-    blocked << (op.is_send ? "send " : "recv ") << op.chan->name();
-    if (op.fault_delay > 0) {
-      blocked << " (delayed)";
-      sched->defer_op(op, op.fault_delay);
-    } else {
-      op.chan->park(op);
-    }
-  }
-  p.blocked_on = blocked.str();
-  // Transfers completed after parking (by partners) decrement `pending`;
-  // the partner's completion path re-queues this process at zero.
 }
 
 void Ctx::tick_kill() {
@@ -185,30 +160,8 @@ void Scheduler::check_starvation() {
   }
 }
 
-void Scheduler::run_fast() {
-  // The zero-overhead loop: no fault release, no stall service, no
-  // watchdog, no blocked-on bookkeeping. Rounds are still counted with
-  // the same batch boundaries as the instrumented loop (one round = the
-  // ready entries present at round start), so a clean run reports the
-  // same scheduler_rounds on either path.
-  while (!ready_.empty()) {
-    std::swap(ready_, batch_);
-    for (Process* proc : batch_) {
-      if (proc->finished) {
-        proc->in_ready_queue = false;
-        continue;
-      }
-      proc->in_ready_queue = false;
-      proc->handle.resume();
-      if (proc->error) std::rethrow_exception(proc->error);
-      if (proc->handle.done()) proc->finished = true;
-    }
-    batch_.clear();
-    ++round_;
-  }
-}
-
-void Scheduler::run_instrumented() {
+void Scheduler::run() {
+  round_ = 0;
   for (;;) {
     // External cancellation (wall-clock deadline, shutdown): checked at
     // every round boundary, including the fault fast-forward path below,
@@ -240,8 +193,7 @@ void Scheduler::run_instrumented() {
     // same FIFO order as before rounds existed — the boundary only
     // defines the time base for stalls, delays and the watchdog.
     std::swap(ready_, batch_);
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      Process* proc = batch_[i];
+    for (Process* proc : batch_) {
       if (proc->finished) {
         proc->in_ready_queue = false;
         continue;
@@ -277,15 +229,6 @@ void Scheduler::run_instrumented() {
     batch_.clear();
     if (watchdog_.max_blocked_rounds > 0) check_starvation();
     ++round_;
-  }
-}
-
-void Scheduler::run() {
-  round_ = 0;
-  if (instrumented_) {
-    run_instrumented();
-  } else {
-    run_fast();
   }
   // All ready work drained: either everything finished or we deadlocked.
   for (const Process& p : processes_) {

@@ -15,37 +15,22 @@
 // clocks are driven purely by the dataflow, so round-level perturbations
 // never change results or makespan — only the interleaving.
 //
-// Execution takes one of two paths through run():
-//   * the FAST path, taken when no fault injector and no watchdog are
-//     configured: a tight resume loop with no fault hooks, no blocked-on
-//     diagnostics strings and no stall/delay bookkeeping. Single sends and
-//     receives keep their CommOp inline in the awaiter (inside the
-//     coroutine frame — no heap allocation per communication), and par
-//     sets can reuse caller-owned op storage across awaits. The whole
-//     per-operation machinery — issue, rendezvous match, park — is
-//     defined inline in this header so it compiles into the coroutine
-//     bodies themselves (no out-of-line call per communication).
-//   * the INSTRUMENTED path, taken whenever faults or a watchdog are
-//     attached: behaviourally identical to the pre-fast-path scheduler,
-//     with per-round fault release, stall service, starvation checks and
-//     human-readable blocked-on state for the forensics layer. Its
-//     awaiter halves live out of line in scheduler.cpp.
-// Both paths count rounds with the same batch boundaries, so a clean run
-// reports the same round count on either path.
-//
-// A third, opt-in mode runs the network on the work-stealing parallel
-// substrate (runtime/shard): one shared arena of processes and channels,
-// worker threads claiming ready processes from a bitmap with per-worker
-// queues, and every communication completing through preallocated atomic
-// mailboxes instead of the parked-op vectors. Logical clocks are
-// dataflow-driven, so parallel results and makespans are bit-identical
-// to sequential runs regardless of steal order.
+// This is the reference and forensics engine: every option shape runs
+// here (capacity, merged buffers, partitioning, tracing, faults,
+// starvation bounds), while clean rendezvous runs take the bytecode VM
+// (runtime/vm), which replays this scheduler's rounds op for op. One
+// resume loop serves every run; its fault and watchdog hooks are a
+// pointer or counter test each and are skipped when nothing is attached.
+// Single sends and receives keep their CommOp inline in the awaiter
+// (inside the coroutine frame — no heap allocation per communication),
+// par sets can reuse caller-owned op storage across awaits, and the
+// per-operation machinery — issue, rendezvous match, park — is defined
+// inline in this header so it compiles into the coroutine bodies
+// themselves (no out-of-line call per communication).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <coroutine>
-#include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
@@ -60,7 +45,6 @@ namespace systolize {
 class Scheduler;
 class Channel;
 class FaultInjector;
-class ShardExec;  // runtime/shard — the work-stealing parallel substrate
 struct Process;
 
 /// One pending communication of a par set. Lives in the awaiter inside the
@@ -75,11 +59,6 @@ struct CommOp {
   Int issue_time = 0;  ///< owner's local time when the op was issued
   bool done = false;
   Int fault_delay = 0; ///< injected delay in rounds (0 = none)
-  /// Rendezvous completion time, recorded by the completing worker on the
-  /// parallel substrate; the last completer of the par set folds these
-  /// into the owner's clock (sequential paths advance the clock directly
-  /// and leave this untouched).
-  Int complete_time = 0;
 };
 
 /// Coroutine return object for process bodies.
@@ -118,9 +97,6 @@ struct Process {
   bool finished = false;
   bool in_ready_queue = false;
   std::exception_ptr error;
-  /// What the process is blocked on, for deadlock diagnostics
-  /// (instrumented path only; the fast path leaves it empty).
-  std::string blocked_on;
   Int sends = 0;
   Int recvs = 0;
   Int statements = 0;
@@ -132,13 +108,6 @@ struct Process {
   bool fault_stall_served = false;
   Int fault_kill_at = -1;        ///< die at this (1-based) statement
   bool killed = false;           ///< terminated by an injected kill
-  // --- work-stealing substrate state (runtime/shard) ---
-  // The sequential paths never touch these; the atomic makes Process
-  // non-movable, which the deque arena tolerates (elements never move).
-  std::uint32_t ws_pid = 0;       ///< dense plan process id
-  CommOp* ws_ops = nullptr;       ///< par set recorded at suspend
-  std::uint32_t ws_count = 0;
-  std::atomic<Int> ws_pending{0}; ///< undone ops of the current par set
 
   [[nodiscard]] Int time() const noexcept { return clock->time; }
   void advance_to(Int t) noexcept { clock->time = std::max(clock->time, t); }
@@ -207,10 +176,9 @@ class CommAwaiter {
   void await_resume();
 
  private:
-  /// Instrumented halves (fault rolls, blocked-on diagnostics) live out
-  /// of line in scheduler.cpp; the fast path never calls them.
-  [[nodiscard]] bool ready_instrumented();
-  void suspend_instrumented();
+  /// Injected-delay rolls (out of line in scheduler.cpp; only runs with a
+  /// fault injector attached).
+  [[nodiscard]] bool ready_faulted();
 
   Ctx ctx_;
   std::vector<CommOp> owned_;
@@ -232,11 +200,6 @@ class Channel {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] Int transfers() const noexcept { return transfers_; }
   [[nodiscard]] Scheduler* scheduler() const noexcept { return sched_; }
-
-  /// Opaque routing tag for parallel runs (the plan channel id, used to
-  /// index the substrate's mailboxes); -1 outside parallel execution.
-  void set_shard_tag(Int tag) noexcept { shard_tag_ = tag; }
-  [[nodiscard]] Int shard_tag() const noexcept { return shard_tag_; }
 
   /// Attempt the op now; true if it completed without parking.
   bool try_complete(CommOp& op);
@@ -273,8 +236,6 @@ class Channel {
   void declare_receiver(Process& p) noexcept { known_receiver_ = &p; }
 
  private:
-  friend class ShardExec;  ///< folds substrate transfer counts back in
-
   struct Stamped {
     Value value;
     Int time;
@@ -315,7 +276,6 @@ class Channel {
   std::vector<CommOp*> senders_;
   std::vector<CommOp*> receivers_;
   Int transfers_ = 0;
-  Int shard_tag_ = -1;
   Process* known_sender_ = nullptr;
   Process* known_receiver_ = nullptr;
 };
@@ -365,25 +325,10 @@ class Scheduler {
   /// injector must outlive the run.
   void set_fault_injector(FaultInjector* injector) noexcept {
     injector_ = injector;
-    refresh_mode();
   }
   [[nodiscard]] FaultInjector* injector() const noexcept { return injector_; }
 
-  void set_watchdog(const WatchdogConfig& config) noexcept {
-    watchdog_ = config;
-    refresh_mode();
-  }
-
-  /// True when faults or a watchdog are attached: run() then takes the
-  /// instrumented path and awaiters record blocked-on diagnostics.
-  [[nodiscard]] bool instrumented() const noexcept { return instrumented_; }
-
-  /// Attach/detach the work-stealing executor driving this scheduler's
-  /// processes on the parallel substrate (runtime/shard). While attached,
-  /// awaiters route every communication through the executor's mailboxes.
-  void set_shard_exec(ShardExec* exec) noexcept { shard_ = exec; }
-  [[nodiscard]] ShardExec* shard_exec() const noexcept { return shard_; }
-  [[nodiscard]] bool sharded() const noexcept { return shard_ != nullptr; }
+  void set_watchdog(const WatchdogConfig& config) { watchdog_ = config; }
 
   /// Hold a parked-to-be op out of its channel for `delay` rounds
   /// (injected transfer delay); called from the comm awaiter.
@@ -417,19 +362,8 @@ class Scheduler {
   [[nodiscard]] Int makespan() const;
 
  private:
-  friend class ShardExec;
-
   /// Injector spawn hook + initial enqueue (out-of-line half of spawn).
   void finish_spawn(Process& ref);
-  void refresh_mode() noexcept {
-    instrumented_ = injector_ != nullptr || watchdog_.max_rounds > 0 ||
-                    watchdog_.max_blocked_rounds > 0 ||
-                    watchdog_.cancel != nullptr;
-  }
-  /// The zero-overhead resume loop (no faults, no watchdog).
-  void run_fast();
-  /// The fully instrumented loop (fault release, stall service, watchdog).
-  void run_instrumented();
   /// Re-queue stalled processes and re-offer delayed ops whose release
   /// round has arrived.
   void release_due();
@@ -448,19 +382,12 @@ class Scheduler {
   std::multimap<Int, CommOp*> delayed_;   ///< release round -> held op
   FaultInjector* injector_ = nullptr;
   WatchdogConfig watchdog_;
-  ShardExec* shard_ = nullptr;
-  bool instrumented_ = false;
   Int round_ = 0;
 };
 
-/// Route a suspending par set through the work-stealing executor (defined
-/// in runtime/shard.cpp; never called on sequential runs).
-void shard_suspend(ShardExec& exec, Process& proc, CommOp* ops,
-                   std::size_t count);
-
 // ---------------------------------------------------------------------
-// Inline fast path. Everything below is the per-communication machinery
-// of the zero-overhead loop; defining it here lets it compile directly
+// Inline communication path. Everything below is the per-communication
+// machinery of the resume loop; defining it here lets it compile directly
 // into the coroutine bodies (measured ~35% of relay-chain time was spent
 // crossing these as out-of-line calls).
 
@@ -572,12 +499,7 @@ inline bool CommAwaiter::await_ready() {
     op.done = false;
     op.fault_delay = 0;
   }
-  if (sched->sharded()) {
-    // Parallel runs complete every op through the substrate's mailboxes;
-    // the awaiter always suspends and hands the set to the executor.
-    return false;
-  }
-  if (sched->injector() != nullptr) return ready_instrumented();
+  if (sched->injector() != nullptr) return ready_faulted();
   bool all = true;
   for (std::size_t i = 0; i < count_; ++i) {
     CommOp& op = ops_[i];
@@ -589,29 +511,26 @@ inline bool CommAwaiter::await_ready() {
 inline void CommAwaiter::await_suspend(std::coroutine_handle<> h) {
   (void)h;  // the scheduler resumes via the process handle
   Process& p = ctx_.process();
-  Scheduler* sched = p.sched;
-  if (sched->sharded()) {
-    shard_suspend(*sched->shard_exec(), p, ops_, count_);
-    return;
-  }
-  if (sched->instrumented()) {
-    suspend_instrumented();
-    return;
-  }
-  // Fast path: count and park, no diagnostics strings, no fault state.
+  // Count and park the unfinished ops. Transfers completed after parking
+  // (by partners) decrement `pending`; the partner's completion path
+  // re-queues this process at zero. Only an injected delay holds an op
+  // out of its channel (the scheduler re-offers it when the delay ends).
   p.pending = 0;
   for (std::size_t i = 0; i < count_; ++i) {
     CommOp& op = ops_[i];
     if (op.done) continue;
     ++p.pending;
-    op.chan->park(op);
+    if (op.fault_delay > 0) {
+      p.sched->defer_op(op, op.fault_delay);
+    } else {
+      op.chan->park(op);
+    }
   }
 }
 
 inline void CommAwaiter::await_resume() {
   // A par set completes only when its slowest member does; the per-op
   // times were already folded into the process clock.
-  ctx_.process().blocked_on.clear();
 }
 
 inline CommOp Ctx::send_op(Channel& chan, Value v) const {

@@ -1,7 +1,9 @@
 // The bytecode VM: threaded-dispatch execution of a lowered NetworkPlan
-// (runtime/bytecode.hpp), bit-identical to the coroutine fast path.
+// (runtime/bytecode.hpp), bit-identical to the coroutine interpreter
+// (runtime/scheduler). Backend::Auto runs every run the VM can take here:
+// solo or batched, with or without a round budget and cancel token.
 //
-// Identity argument: the VM replicates the fast scheduler's observable
+// Identity argument: the VM replicates the interpreter's observable
 // semantics op for op —
 //   * the same FIFO double-buffered round structure (one round = the
 //     ready entries present at round start; initial queue = spawn order),
@@ -10,7 +12,7 @@
 //     before any op is attempted, then attempt in set order),
 //   * the same statement tick (+1 after each basic statement),
 // so results, makespan, per-channel transfer counts, statement counts AND
-// scheduler_rounds all match the interpreted fast path exactly. The
+// scheduler_rounds all match the interpreter exactly. The
 // differential suite (tests/integration/test_bytecode_differential.cpp)
 // asserts this across the whole design catalog.
 //
@@ -47,7 +49,7 @@ class WorkerPool;
 
 struct VmRunOptions {
   /// Round budget (0 = unbounded); trips Error(Timeout) like the
-  /// instrumented scheduler's watchdog.
+  /// interpreter's watchdog.
   Int max_rounds = 0;
   /// External cancellation token, polled at round boundaries.
   const std::atomic<bool>* cancel = nullptr;

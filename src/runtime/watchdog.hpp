@@ -8,6 +8,10 @@
 // the parked communication ops, extracts the blocking cycle, and reports
 // per-process state both human-readably (the Error message) and as JSON
 // (the Error's diagnostic payload).
+//
+// Both engines honour the round budget and the cancel token at their
+// round boundaries, so a watchdog alone keeps a run on the bytecode VM.
+// The per-process starvation bound is the interpreter's alone.
 #pragma once
 
 #include <atomic>
@@ -55,8 +59,8 @@ struct WatchdogConfig {
 /// blocked process waits on the counterpart of each channel it is parked
 /// on; the counterpart is whichever live process is parked on — or last
 /// used — the channel's other side.
-/// (The parallel substrate builds its own report over dense plan ids —
-/// see runtime/shard.cpp — with the same rendering.)
+/// (The bytecode VM builds its own report over dense plan ids — see
+/// runtime/vm.cpp — with the same rendering.)
 [[nodiscard]] DeadlockReport build_deadlock_report(const Scheduler& sched,
                                                    std::string reason);
 

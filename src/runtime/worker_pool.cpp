@@ -50,8 +50,8 @@ void WorkerPool::run(unsigned n, const std::function<void(unsigned)>& job) {
 
   job(0);
 
-  // The run is complete (a substrate run only returns from job(0) once
-  // the network is drained or aborted — stragglers exit immediately).
+  // The run is complete (a batched dispatch only returns from job(0)
+  // once every chunk is claimed — stragglers exit immediately).
   // Cancel every participant still sitting in the queue so the Batch on
   // this stack cannot be touched after we return, then wait out the ones
   // a pool thread already claimed.

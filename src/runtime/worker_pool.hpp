@@ -1,22 +1,22 @@
-// A persistent pool of worker threads for parallel substrate runs.
+// A persistent pool of worker threads for batched VM dispatches.
 //
-// The work-stealing executor (runtime/shard) is driven by N symmetric
-// workers per run. Spawning N-1 std::threads per request costs ~100µs
-// each — visible on warm-serve latencies — so the service layer keeps one
-// WorkerPool alive across requests and every run borrows threads from it.
+// run_vm_batched (runtime/vm) splits a batch's SoA lanes into contiguous
+// chunks, one per worker. Spawning N-1 std::threads per request costs
+// ~100µs each — visible on warm-serve latencies — so the service layer
+// keeps one WorkerPool alive across requests and every dispatch borrows
+// threads from it.
 //
 // The pool is deliberately dumb: a mutex-protected queue of (job, index)
-// tasks and lazily spawned threads. All the lock-free machinery lives in
-// the substrate itself; the pool only has to hand each run its extra
-// workers, and its locks are touched twice per run, not per task.
+// tasks and lazily spawned threads. Its locks are touched twice per
+// dispatch, not per chunk.
 //
 // run(n, job) executes job(0..n-1) with the *calling* thread running
-// job(0). That guarantees every run owns at least one worker even when
-// the pool is saturated by concurrent runs — and because any single
-// substrate worker can finish a whole run by itself (work stealing), a
-// run never waits on pool capacity for correctness, only for speed.
-// Queued participants that no thread has claimed by the time the run
-// completes are simply cancelled.
+// job(0). That guarantees every dispatch owns at least one worker even
+// when the pool is saturated by concurrent runs — and because the chunk
+// loop claims chunks off a shared counter, any single worker can finish
+// a whole batch by itself, so a dispatch never waits on pool capacity
+// for correctness, only for speed. Queued participants that no thread
+// has claimed by the time the caller's job returns are simply cancelled.
 #pragma once
 
 #include <condition_variable>

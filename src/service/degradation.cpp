@@ -8,7 +8,6 @@ const char* degrade_level_name(DegradeLevel level) noexcept {
   switch (level) {
     case DegradeLevel::Normal: return "Normal";
     case DegradeLevel::ReducedCache: return "ReducedCache";
-    case DegradeLevel::SingleThread: return "SingleThread";
   }
   return "Unknown";
 }
@@ -22,8 +21,8 @@ void Degradation::apply_level_locked() {
 void Degradation::on_pressure() {
   std::lock_guard<std::mutex> lock(mu_);
   successes_since_pressure_ = 0;
-  if (level_ != DegradeLevel::SingleThread) {
-    level_ = static_cast<DegradeLevel>(static_cast<int>(level_) + 1);
+  if (level_ != DegradeLevel::ReducedCache) {
+    level_ = DegradeLevel::ReducedCache;
     ++escalations_;
     apply_level_locked();
   }
@@ -34,7 +33,7 @@ void Degradation::on_success() {
   if (level_ == DegradeLevel::Normal) return;
   if (++successes_since_pressure_ < config_.recovery_successes) return;
   successes_since_pressure_ = 0;
-  level_ = static_cast<DegradeLevel>(static_cast<int>(level_) - 1);
+  level_ = DegradeLevel::Normal;
   ++recoveries_;
   apply_level_locked();
 }
@@ -42,11 +41,6 @@ void Degradation::on_success() {
 DegradeLevel Degradation::level() const {
   std::lock_guard<std::mutex> lock(mu_);
   return level_;
-}
-
-unsigned Degradation::effective_threads(unsigned requested) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return level_ == DegradeLevel::SingleThread ? 0 : requested;
 }
 
 std::size_t Degradation::escalations() const {

@@ -1,12 +1,10 @@
-// Graceful degradation under memory pressure: a three-level state
-// machine that trades throughput for survival instead of dying.
+// Graceful degradation under memory pressure: a two-level state machine
+// that trades throughput for survival instead of dying.
 //
-//   Normal        — full plan-cache budget, sharded runs allowed.
+//   Normal        — full plan-cache budget.
 //   ReducedCache  — the plan cache is shrunk to a small budget (templates
 //                   are never evicted, so warm requests degrade to one
 //                   integer expansion each, not to re-derivation).
-//   SingleThread  — additionally, sharded execution is refused: every run
-//                   is sequential, bounding peak memory to one network.
 //
 // Escalation is driven by observed pressure (std::bad_alloc caught at the
 // executor boundary); recovery steps back one level after a run of
@@ -22,14 +20,14 @@
 
 namespace systolize::service {
 
-enum class DegradeLevel { Normal = 0, ReducedCache = 1, SingleThread = 2 };
+enum class DegradeLevel { Normal = 0, ReducedCache = 1 };
 
 [[nodiscard]] const char* degrade_level_name(DegradeLevel level) noexcept;
 
 struct DegradationConfig {
   /// Budget restored to the plan cache at Normal.
   std::size_t cache_budget = PlanCache::kDefaultByteBudget;
-  /// Budget applied at ReducedCache and below.
+  /// Budget applied at ReducedCache.
   std::size_t reduced_cache_budget = std::size_t{1} * 1024 * 1024;
   /// Consecutive successful requests required to step back one level.
   std::size_t recovery_successes = 32;
@@ -40,8 +38,8 @@ class Degradation {
   Degradation(DegradationConfig config, PlanCache& cache)
       : config_(config), cache_(cache) {}
 
-  /// Record a memory-pressure event: escalate one level and apply the
-  /// level's cache budget immediately.
+  /// Record a memory-pressure event: escalate to ReducedCache (if not
+  /// there already) and apply its cache budget immediately.
   void on_pressure();
 
   /// Record a successfully completed request; after
@@ -49,10 +47,6 @@ class Degradation {
   void on_success();
 
   [[nodiscard]] DegradeLevel level() const;
-
-  /// Thread count a run may actually use: the request's ask at Normal
-  /// and ReducedCache, forced sequential (0) at SingleThread.
-  [[nodiscard]] unsigned effective_threads(unsigned requested) const;
 
   [[nodiscard]] std::size_t escalations() const;
   [[nodiscard]] std::size_t recoveries() const;

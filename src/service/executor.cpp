@@ -243,39 +243,20 @@ Response Executor::handle_expand(const Request& req) {
   return r;
 }
 
-Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
-  Env sizes = sizes_of(ce.design, req);
-
+InstantiateOptions Executor::run_options(const Design& design,
+                                        const Request& req,
+                                        DeadlineTimer& deadline) {
+  const PlanShape shape = shape_of(design, req);
   InstantiateOptions iopt;
-  iopt.channel_capacity = req.capacity;
-  iopt.merge_internal_buffers = req.merge_buffers;
-  if (req.partition > 0) {
-    std::vector<Int> comps(ce.design.nest.depth() - 1, req.partition);
-    iopt.partition_grid = IntVec(comps);
-  }
+  iopt.channel_capacity = shape.channel_capacity;
+  iopt.merge_internal_buffers = shape.merge_internal_buffers;
+  iopt.partition_grid = shape.partition_grid;
   iopt.plan_cache = &plan_cache_;
   iopt.backend = backend_of(req);
-
-  FaultPlan plan;
-  if (!req.inject.empty()) {
-    plan = FaultPlan::parse(req.inject);
-    iopt.faults = &plan;
-  }
-
-  // Sharded eligibility: the work-stealing substrate carries round
-  // budgets, wall-clock deadlines and cancel tokens natively, so a
-  // threaded request keeps its server-default protections. Only fault
-  // injection forces the sequential instrumented path — requests may ask
-  // for sequential-only fault kinds (delay/duplicate) and the service
-  // promises every inject spec works.
-  const unsigned threads =
-      degradation_.effective_threads(static_cast<unsigned>(req.threads));
-  const bool sharded = threads > 1 && req.inject.empty();
-  if (sharded) {
-    iopt.threads = threads;
+  if (req.threads > 1) {
+    iopt.threads = static_cast<unsigned>(req.threads);
     iopt.worker_pool = &pool_;
   }
-  DeadlineTimer deadline;
   iopt.watchdog.max_rounds =
       req.round_budget > 0 ? req.round_budget : config_.default_round_budget;
   const Int wall_ms = req.wall_timeout_ms > 0 ? req.wall_timeout_ms
@@ -287,14 +268,26 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
     iopt.watchdog.cancel_reason =
         "wall-clock deadline of " + std::to_string(wall_ms) + "ms exceeded";
   }
+  return iopt;
+}
+
+Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
+  Env sizes = sizes_of(ce.design, req);
+  DeadlineTimer deadline;
+  InstantiateOptions iopt = run_options(ce.design, req, deadline);
+  FaultPlan plan;
+  if (!req.inject.empty()) {
+    plan = FaultPlan::parse(req.inject);
+    iopt.faults = &plan;
+  }
 
   const std::size_t batch = static_cast<std::size_t>(req.batch);
 
   if (batch > 1 && iopt.faults != nullptr) {
     // Faulted batches have per-instance semantics: a kill is a verdict
     // for ONE instance, never for the batch. Replay each instance
-    // through the instrumented engine with its own derived fault seed
-    // and report a verdict per instance in the data payload.
+    // through the interpreter with its own derived fault seed and report
+    // a verdict per instance in the data payload.
     std::ostringstream instances;
     std::size_t failures = 0;
     Int faults_total = 0;
@@ -411,14 +404,6 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
 
 void Executor::note_run_metrics(const RunMetrics& metrics) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  if (!metrics.workers.empty()) {
-    ++substrate_runs_;
-    for (const WorkerCounters& w : metrics.workers) {
-      substrate_steals_ += w.steals;
-      substrate_tasks_ += w.tasks;
-      substrate_idle_ns_ += w.idle_ns;
-    }
-  }
   if (metrics.backend == "bytecode") {
     ++bytecode_runs_;
     bytecode_instances_ += metrics.batch;
@@ -479,36 +464,8 @@ std::vector<Response> Executor::group_attempt(
     }
   }
 
-  InstantiateOptions iopt;
-  iopt.channel_capacity = proto.capacity;
-  iopt.merge_internal_buffers = proto.merge_buffers;
-  if (proto.partition > 0) {
-    std::vector<Int> comps(ce->design.nest.depth() - 1, proto.partition);
-    iopt.partition_grid = IntVec(comps);
-  }
-  iopt.plan_cache = &plan_cache_;
-  iopt.backend = backend_of(proto);
-  const unsigned threads =
-      degradation_.effective_threads(static_cast<unsigned>(proto.threads));
-  if (threads > 1) {
-    iopt.threads = threads;
-    iopt.worker_pool = &pool_;
-  }
   DeadlineTimer deadline;
-  iopt.watchdog.max_rounds = proto.round_budget > 0
-                                 ? proto.round_budget
-                                 : config_.default_round_budget;
-  const Int wall_ms = proto.wall_timeout_ms > 0
-                          ? proto.wall_timeout_ms
-                          : config_.default_wall_timeout_ms;
-  if (wall_ms > 0) {
-    deadline.arm(wall_ms);
-    iopt.watchdog.cancel = deadline.token();
-    iopt.watchdog.cancel_kind = ErrorKind::Timeout;
-    iopt.watchdog.cancel_reason =
-        "wall-clock deadline of " + std::to_string(wall_ms) + "ms exceeded";
-  }
-
+  const InstantiateOptions iopt = run_options(ce->design, proto, deadline);
   RunMetrics metrics = execute_batch(ce->prog, ce->design.nest, sizes,
                                      stores.data(), lanes, iopt);
   deadline.disarm();
@@ -671,11 +628,6 @@ std::string Executor::stats_json() const {
        << ",\"timeouts\":" << timeouts_
        << ",\"compile_cache\":{\"hits\":" << compile_cache_hits_
        << ",\"misses\":" << compile_cache_misses_ << '}'
-       << ",\"substrate\":{\"runs\":" << substrate_runs_
-       << ",\"steals\":" << substrate_steals_
-       << ",\"tasks\":" << substrate_tasks_
-       << ",\"idle_ns\":" << substrate_idle_ns_
-       << ",\"pool_threads\":" << pool_.spawned() << '}'
        << ",\"bytecode\":{\"runs\":" << bytecode_runs_
        << ",\"batched_instances\":" << bytecode_instances_
        << ",\"max_batch\":" << max_batch_

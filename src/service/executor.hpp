@@ -37,6 +37,7 @@
 #include "service/protocol.hpp"
 
 namespace systolize {
+struct InstantiateOptions;
 struct RunMetrics;
 }
 
@@ -139,6 +140,12 @@ class Executor {
   [[nodiscard]] Response handle_compile(const Request& req);
   [[nodiscard]] Response handle_expand(const Request& req);
   [[nodiscard]] Response handle_run(const Request& req);
+  /// The engine options of one run request (solo or a coalesced group's
+  /// prototype): plan shape, cache, backend, lane workers, round budget
+  /// and wall-clock deadline, armed on `deadline`.
+  [[nodiscard]] InstantiateOptions run_options(const Design& design,
+                                               const Request& req,
+                                               DeadlineTimer& deadline);
   [[nodiscard]] Response run_attempt(const CompiledEntry& ce,
                                      const Request& req);
   [[nodiscard]] std::vector<Response> group_attempt(
@@ -146,14 +153,15 @@ class Executor {
   [[nodiscard]] Response handle_verify(const Request& req);
   [[nodiscard]] Response handle_analyze(const Request& req);
   void count_outcome(const Response& r);
-  /// Accumulate substrate and bytecode-backend counters off a run.
+  /// Accumulate bytecode-backend counters off a run.
   void note_run_metrics(const RunMetrics& metrics);
 
   const ExecutorConfig config_;
   PlanCache plan_cache_;
   Degradation degradation_;
-  /// Shared across requests: parallel runs borrow their extra workers
-  /// here instead of spawning threads per run (warm-serve latency).
+  /// Shared across requests: batched VM dispatches borrow their lane
+  /// workers here instead of spawning threads per run (warm-serve
+  /// latency).
   WorkerPool pool_;
   const RequestQueue* queue_ = nullptr;
 
@@ -169,11 +177,6 @@ class Executor {
   std::size_t timeouts_ = 0;          ///< error responses with kind Timeout
   std::size_t compile_cache_hits_ = 0;
   std::size_t compile_cache_misses_ = 0;
-  /// Work-stealing substrate totals accumulated over sharded runs.
-  std::size_t substrate_runs_ = 0;
-  Int substrate_steals_ = 0;
-  Int substrate_tasks_ = 0;
-  Int substrate_idle_ns_ = 0;
   /// Bytecode backend and request-coalescing counters.
   std::size_t bytecode_runs_ = 0;       ///< dispatches the VM executed
   std::size_t bytecode_instances_ = 0;  ///< SoA lanes across those runs

@@ -15,15 +15,17 @@
 //   capacity         channel slack (default 0 = rendezvous)
 //   partition        processors per PS dimension (default 0 = off)
 //   merge_buffers    realize internal buffers as channel capacity
-//   threads          requested shard workers (degradation may ignore)
+//   threads          lane workers of a batched VM dispatch (the batch's
+//                    SoA lanes split into up to this many chunks; a
+//                    solo run has one lane and ignores it)
 //   verify           run op: differential-check against the sequential
 //                    baseline (the CLI's "verify: OK")
 //   inject           fault plan, FaultPlan::parse syntax
 //   backend          "" (auto) | "interp" | "bytecode" — execution engine
 //   batch            independent problem instances per run (default 1);
-//                    eligible batched runs execute as SoA lanes of one
-//                    bytecode dispatch, faulted ones replay per instance
-//                    with derived seeds and per-instance verdicts
+//                    eligible runs execute as SoA lanes of one bytecode
+//                    dispatch, faulted ones replay per instance with
+//                    derived seeds and per-instance verdicts
 //   round_budget     watchdog round budget (0 = server default)
 //   wall_timeout_ms  wall-clock deadline (0 = server default)
 //   fail_attempts    TEST HOOK: fail the first N execution attempts with

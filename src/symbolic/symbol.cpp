@@ -15,7 +15,7 @@ Symbol coord_symbol(std::string name) {
 Symbol canonical_coord(std::size_t i) {
   if (i == 0) return coord_symbol("col");
   if (i == 1) return coord_symbol("row");
-  return coord_symbol("y" + std::to_string(i));
+  return coord_symbol(std::string("y").append(std::to_string(i)));
 }
 
 std::ostream& operator<<(std::ostream& os, const Symbol& s) {

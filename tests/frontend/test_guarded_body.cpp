@@ -154,24 +154,21 @@ TEST(GuardedBody, ShippedBandedMatmulDifferentialAcrossBackends) {
       });
   IndexedStore fast = expected;
   IndexedStore inst = expected;
-  IndexedStore sharded = expected;
   IndexedStore byte = expected;
   run_sequential(d.nest, sizes, expected);
 
-  (void)execute(prog, d.nest, sizes, fast);
-  InstantiateOptions wd;
+  InstantiateOptions ip;
+  ip.backend = Backend::Interp;
+  (void)execute(prog, d.nest, sizes, fast, ip);
+  InstantiateOptions wd = ip;
   wd.watchdog.max_rounds = Int{1} << 40;
   (void)execute(prog, d.nest, sizes, inst, wd);
-  InstantiateOptions par;
-  par.threads = 2;
-  (void)execute(prog, d.nest, sizes, sharded, par);
   InstantiateOptions bc;
   bc.backend = Backend::Bytecode;
   (void)execute(prog, d.nest, sizes, byte, bc);
 
   EXPECT_EQ(fast.elements("c"), expected.elements("c"));
   EXPECT_EQ(inst.elements("c"), expected.elements("c"));
-  EXPECT_EQ(sharded.elements("c"), expected.elements("c"));
   EXPECT_EQ(byte.elements("c"), expected.elements("c"));
 }
 

@@ -17,7 +17,6 @@ FuzzOptions quick_campaign(const std::string& corpus_dir) {
   options.seed = 3;
   options.count = 25;
   options.corpus_dir = corpus_dir;
-  options.oracle.threads = 2;
   options.oracle.batch = 2;
   return options;
 }
@@ -84,7 +83,6 @@ TEST(FuzzCampaign, ReplayOnMissingDirectoryIsClean) {
 TEST(FuzzCampaign, CheckedInCorpusReplaysClean) {
   const std::string dir = std::string(SYSTOLIZE_DESIGN_DIR) + "/fuzz-corpus";
   OracleOptions oracle;
-  oracle.threads = 2;
   oracle.batch = 2;
   const ReplayResult replay = replay_corpus(dir, oracle);
   EXPECT_GT(replay.files, 0u) << "no reproducers checked in under " << dir;

@@ -12,7 +12,6 @@ namespace {
 
 OracleOptions quick_oracle() {
   OracleOptions options;
-  options.threads = 2;
   options.batch = 2;
   return options;
 }

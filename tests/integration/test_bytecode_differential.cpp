@@ -1,6 +1,6 @@
 // Differential suite for the bytecode backend (runtime/bytecode +
 // runtime/vm): on every catalog design the lowered VM must be
-// bit-identical to the interpreted fast path — results, makespan,
+// bit-identical to the interpreter — results, makespan,
 // transfer counts, statement counts AND scheduler rounds — because both
 // engines implement the same dataflow-clock semantics over the same
 // round structure. SoA batching must additionally reproduce, per lane,
@@ -60,6 +60,13 @@ InstantiateOptions bytecode_opt(InstantiateOptions opt = {}) {
   return opt;
 }
 
+/// The reference engine, forced (Auto would pick the VM).
+InstantiateOptions interp_opt() {
+  InstantiateOptions opt;
+  opt.backend = Backend::Interp;
+  return opt;
+}
+
 class BytecodeDifferential : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BytecodeDifferential, BytecodeMatchesInterpBitForBit) {
@@ -69,7 +76,8 @@ TEST_P(BytecodeDifferential, BytecodeMatchesInterpBitForBit) {
     Env sizes = sizes_for(design, n, std::max<Int>(1, n - 1));
     IndexedStore interp_store = seeded(design, sizes);
     IndexedStore vm_store = interp_store;
-    RunMetrics interp = execute(prog, design.nest, sizes, interp_store, {});
+    RunMetrics interp =
+        execute(prog, design.nest, sizes, interp_store, interp_opt());
     RunMetrics vm =
         execute(prog, design.nest, sizes, vm_store, bytecode_opt());
     expect_same_stores(design, interp_store, vm_store, GetParam());
@@ -79,8 +87,8 @@ TEST_P(BytecodeDifferential, BytecodeMatchesInterpBitForBit) {
     EXPECT_EQ(interp.statements, vm.statements) << GetParam() << " n=" << n;
     EXPECT_EQ(interp.transfers_per_stream, vm.transfers_per_stream)
         << GetParam() << " n=" << n;
-    // The VM replicates the fast loop's double-buffered round structure,
-    // so even the round count must agree exactly.
+    // The VM replicates the interpreter's double-buffered round
+    // structure, so even the round count must agree exactly.
     EXPECT_EQ(interp.scheduler_rounds, vm.scheduler_rounds)
         << GetParam() << " n=" << n;
     EXPECT_EQ(vm.backend, "bytecode");
@@ -109,7 +117,7 @@ TEST_P(BytecodeDifferential, BatchedLanesMatchPerInstanceRuns) {
     // Ground truth per lane: the paper-order sequential loop nest, plus
     // the interpreted engine for the schedule metrics.
     IndexedStore interp_store = expected[l];
-    single = execute(prog, design.nest, sizes, interp_store, {});
+    single = execute(prog, design.nest, sizes, interp_store, interp_opt());
     run_sequential(design.nest, sizes, expected[l]);
     expect_same_stores(design, lanes[l], expected[l],
                        GetParam() + " lane " + std::to_string(l));
@@ -165,10 +173,8 @@ TEST_P(BytecodeDifferential, InterpBatchFallbackMatchesVmBatch) {
   }
   RunMetrics vm = execute_batch(prog, design.nest, sizes, vm_lanes.data(),
                                 kBatch, bytecode_opt());
-  InstantiateOptions iopt;
-  iopt.backend = Backend::Interp;
   RunMetrics interp = execute_batch(prog, design.nest, sizes,
-                                    interp_lanes.data(), kBatch, iopt);
+                                    interp_lanes.data(), kBatch, interp_opt());
   EXPECT_EQ(interp.backend, "interp") << GetParam();
   EXPECT_EQ(interp.batch, kBatch);
   for (std::size_t l = 0; l < kBatch; ++l) {
@@ -268,7 +274,7 @@ TEST(BytecodeValidation, RoundBudgetAndCancelAreEnforced) {
   }
   {
     // A tiny budget trips the same watchdog classification as the
-    // instrumented scheduler: Error(Timeout) mentioning the budget.
+    // interpreter: Error(Timeout) mentioning the budget.
     IndexedStore store = seeded(design, sizes);
     InstantiateOptions opt = bytecode_opt();
     opt.watchdog.max_rounds = 2;

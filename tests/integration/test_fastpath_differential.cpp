@@ -1,16 +1,18 @@
-// Differential suite for the execution engine's three paths: the
-// zero-overhead fast path (no faults, no watchdog), the instrumented
-// path (any fault/watchdog attachment forces it), and the sharded
-// parallel path (--threads). All three must produce bit-identical
-// results, makespans and transfer counts; fast and instrumented must
-// also agree on scheduler rounds (same batch boundaries), while sharded
-// rounds are a max over shards and deliberately excluded.
+// Differential suite for the execution paths: the interpreter with
+// nothing attached (its fault and watchdog hooks skipped), the same loop
+// with a never-firing watchdog (hooks live), and Backend::Auto's dispatch,
+// which sends every run the VM can take to the bytecode VM and the rest to
+// the interpreter. All must produce bit-identical results, makespans,
+// transfer counts, statements and scheduler rounds.
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
 #include "runtime/instantiate.hpp"
 #include "scheme/compiler.hpp"
+#include "service/executor.hpp"
 
 namespace systolize {
 namespace {
@@ -39,11 +41,17 @@ IndexedStore seeded(const Design& design, const Env& sizes) {
                             });
 }
 
-/// An attached (but never-firing) watchdog is the cheapest way to force
-/// the instrumented path without changing observable behaviour.
+/// The interpreter, forced: Auto would pick the VM for clean runs.
+InstantiateOptions interp(InstantiateOptions opt = {}) {
+  opt.backend = Backend::Interp;
+  return opt;
+}
+
+/// The interpreter with an attached (but never-firing) watchdog: every
+/// hook of the resume loop is live without changing observable behaviour.
 InstantiateOptions instrumented(InstantiateOptions opt = {}) {
   opt.watchdog.max_rounds = Int{1} << 40;
-  return opt;
+  return interp(opt);
 }
 
 void expect_same_stores(const Design& design, const IndexedStore& a,
@@ -63,7 +71,7 @@ TEST_P(FastPathDifferential, FastAndInstrumentedAgreeExactly) {
     Env sizes = sizes_for(design, n, std::max<Int>(1, n - 1));
     IndexedStore fast_store = seeded(design, sizes);
     IndexedStore inst_store = fast_store;
-    RunMetrics fast = execute(prog, design.nest, sizes, fast_store, {});
+    RunMetrics fast = execute(prog, design.nest, sizes, fast_store, interp());
     RunMetrics inst =
         execute(prog, design.nest, sizes, inst_store, instrumented());
     expect_same_stores(design, fast_store, inst_store, GetParam());
@@ -72,9 +80,8 @@ TEST_P(FastPathDifferential, FastAndInstrumentedAgreeExactly) {
     EXPECT_EQ(fast.statements, inst.statements) << GetParam();
     EXPECT_EQ(fast.transfers_per_stream, inst.transfers_per_stream)
         << GetParam();
-    // Clean runs must report the same number of cooperative rounds on
-    // either path — the fault clock and the fast loop share batch
-    // boundaries by construction.
+    // Clean runs must report the same number of cooperative rounds with
+    // or without the hooks — there is one loop and one batch boundary.
     EXPECT_EQ(fast.scheduler_rounds, inst.scheduler_rounds) << GetParam();
   }
 }
@@ -104,27 +111,69 @@ TEST_P(FastPathDifferential, FastAndInstrumentedAgreeOnVariants) {
   }
 }
 
-TEST_P(FastPathDifferential, ShardedRunIsBitIdenticalToSequential) {
+TEST_P(FastPathDifferential, AutoRunsTheVmUnlessAnOptionBlocksIt) {
   Design design = design_by_name(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
-  for (Int n : {2, 5}) {
-    Env sizes = sizes_for(design, n, std::max<Int>(1, n - 1));
-    IndexedStore seq_store = seeded(design, sizes);
-    IndexedStore par_store = seq_store;
-    RunMetrics seq = execute(prog, design.nest, sizes, seq_store, {});
-    InstantiateOptions par_opt;
-    par_opt.threads = 4;
-    RunMetrics par = execute(prog, design.nest, sizes, par_store, par_opt);
-    expect_same_stores(design, seq_store, par_store, GetParam());
-    EXPECT_EQ(seq.makespan, par.makespan) << GetParam() << " n=" << n;
-    EXPECT_EQ(seq.total_transfers, par.total_transfers)
-        << GetParam() << " n=" << n;
-    EXPECT_EQ(seq.statements, par.statements) << GetParam() << " n=" << n;
-    EXPECT_EQ(seq.transfers_per_stream, par.transfers_per_stream)
-        << GetParam() << " n=" << n;
-    EXPECT_GE(par.shards, 1u) << GetParam();
-    // scheduler_rounds is a max over shards on the parallel path, not
-    // schedule-invariant: deliberately not compared.
+  Env sizes = sizes_for(design, 4, 3);
+  IndexedStore expected = seeded(design, sizes);
+  IndexedStore ref_store = expected;
+  run_sequential(design.nest, sizes, expected);
+  const RunMetrics ref =
+      execute(prog, design.nest, sizes, ref_store, interp());
+  EXPECT_EQ(ref.backend, "interp");
+  EXPECT_EQ(ref.fallback_reason, "");  // forced, not a fallback
+
+  // Bare, and under the daemon's round budget and cancel token: the VM.
+  const std::atomic<bool> cancel{false};
+  InstantiateOptions daemon;
+  daemon.watchdog.max_rounds = service::ExecutorConfig{}.default_round_budget;
+  daemon.watchdog.cancel = &cancel;
+  for (const InstantiateOptions& opt : {InstantiateOptions{}, daemon}) {
+    const std::string what =
+        GetParam() + (opt.watchdog.cancel != nullptr ? " daemon" : " bare");
+    IndexedStore store = seeded(design, sizes);
+    const RunMetrics got = execute(prog, design.nest, sizes, store, opt);
+    EXPECT_EQ(got.backend, "bytecode") << what;
+    EXPECT_EQ(got.fallback_reason, "") << what;
+    expect_same_stores(design, ref_store, store, what);
+    EXPECT_EQ(ref.makespan, got.makespan) << what;
+    EXPECT_EQ(ref.total_transfers, got.total_transfers) << what;
+    EXPECT_EQ(ref.transfers_per_stream, got.transfers_per_stream) << what;
+    EXPECT_EQ(ref.statements, got.statements) << what;
+    EXPECT_EQ(ref.scheduler_rounds, got.scheduler_rounds) << what;
+  }
+
+  // Every option the VM cannot honour sends Auto to the interpreter and
+  // is named as the reason; results still match the baseline.
+  Trace trace;
+  FaultPlan stall = FaultPlan::parse("seed=7;stall=0.3:5");
+  std::vector<std::pair<std::string, InstantiateOptions>> blocked(6);
+  blocked[0].first = "capacity";
+  blocked[0].second.channel_capacity = 1;
+  blocked[1].first = "merged";
+  blocked[1].second.merge_internal_buffers = true;
+  blocked[2].first = "partition";
+  blocked[2].second.partition_grid =
+      IntVec(std::vector<Int>(design.nest.depth() - 1, 2));
+  blocked[3].first = "trace";
+  blocked[3].second.trace = &trace;
+  blocked[4].first = "stall";
+  blocked[4].second.faults = &stall;
+  blocked[5].first = "starvation";
+  blocked[5].second.watchdog.max_blocked_rounds = Int{1} << 40;
+  for (const auto& [name, opt] : blocked) {
+    const std::string what = GetParam() + " " + name;
+    IndexedStore store = seeded(design, sizes);
+    const RunMetrics got = execute(prog, design.nest, sizes, store, opt);
+    EXPECT_EQ(got.backend, "interp") << what;
+    EXPECT_NE(got.fallback_reason, "") << what;
+    EXPECT_NE(got.to_string().find(got.fallback_reason), std::string::npos)
+        << what;
+    EXPECT_NE(got.to_json().find("\"fallback_reason\":\"" +
+                                 got.fallback_reason + '"'),
+              std::string::npos)
+        << what;
+    expect_same_stores(design, expected, store, what);
   }
 }
 
@@ -161,16 +210,14 @@ TEST_P(FastPathDifferential, AllPathsMatchSequentialGroundTruth) {
   IndexedStore expected = seeded(design, sizes);
   IndexedStore fast_store = expected;
   IndexedStore inst_store = expected;
-  IndexedStore par_store = expected;
+  IndexedStore vm_store = expected;
   run_sequential(design.nest, sizes, expected);
-  (void)execute(prog, design.nest, sizes, fast_store, {});
+  (void)execute(prog, design.nest, sizes, fast_store, interp());
   (void)execute(prog, design.nest, sizes, inst_store, instrumented());
-  InstantiateOptions par_opt;
-  par_opt.threads = 3;
-  (void)execute(prog, design.nest, sizes, par_store, par_opt);
+  (void)execute(prog, design.nest, sizes, vm_store, {});
   expect_same_stores(design, fast_store, expected, "fast-vs-seq");
   expect_same_stores(design, inst_store, expected, "inst-vs-seq");
-  expect_same_stores(design, par_store, expected, "par-vs-seq");
+  expect_same_stores(design, vm_store, expected, "vm-vs-seq");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, FastPathDifferential,
@@ -179,67 +226,6 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, FastPathDifferential,
                                            "matmul3", "matmul4",
                                            "convolution", "correlation",
                                            "fir_bank", "closure"));
-
-TEST(ShardedValidation, RejectsIncompatibleAttachments) {
-  Design design = design_by_name("polyprod1");
-  CompiledProgram prog = compile(design.nest, design.spec);
-  Env sizes{{"n", Rational(3)}};
-  {
-    // Round budgets are legal on the work-stealing substrate (bounded as
-    // total resumptions); a generous budget must not perturb the run.
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.watchdog.max_rounds = 100000;
-    EXPECT_NO_THROW((void)execute(prog, design.nest, sizes, store, opt));
-  }
-  {
-    // Starvation bounds are a sequential-round notion: still rejected.
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.watchdog.max_blocked_rounds = 50;
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-  {
-    // Transfer-time faults consume PRNG state in schedule order: rejected.
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    FaultPlan faults = FaultPlan::parse("seed=1;delay=0.5:3");
-    opt.faults = &faults;
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-  {
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.channel_capacity = 2;
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-  {
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.partition_grid = IntVec(std::vector<Int>{2});
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-}
-
-TEST(ShardedValidation, SingleThreadIsJustTheFastPath) {
-  Design design = design_by_name("matmul1");
-  CompiledProgram prog = compile(design.nest, design.spec);
-  Env sizes{{"n", Rational(3)}};
-  IndexedStore seq_store = seeded(design, sizes);
-  IndexedStore one_store = seq_store;
-  RunMetrics seq = execute(prog, design.nest, sizes, seq_store, {});
-  InstantiateOptions opt;
-  opt.threads = 1;
-  RunMetrics one = execute(prog, design.nest, sizes, one_store, opt);
-  expect_same_stores(design, seq_store, one_store, "threads=1");
-  EXPECT_EQ(seq.makespan, one.makespan);
-  EXPECT_EQ(one.shards, 0u);
-}
 
 }  // namespace
 }  // namespace systolize

@@ -3,9 +3,9 @@
 // (compile_template once, expand_template per size — pure integer
 // arithmetic) must reproduce the single-stage symbolic build_plan() output
 // bit for bit: spawn order, channel order, element slices, names, graph,
-// everything. Also pins that fast/instrumented/sharded runs on an
-// expanded plan match the sequential ground truth, and that the static
-// verifier gate accepts plans served through the template path.
+// everything. Also pins that interpreter (hooks off and on) and VM runs
+// on an expanded plan match the sequential ground truth, and that the
+// static verifier gate accepts plans served through the template path.
 #include <gtest/gtest.h>
 
 #include "baseline/sequential.hpp"
@@ -110,8 +110,6 @@ void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
   EXPECT_EQ(a.comp_count, b.comp_count) << what;
   EXPECT_EQ(a.io_count, b.io_count) << what;
   EXPECT_EQ(a.buffer_count, b.buffer_count) << what;
-  EXPECT_EQ(a.max_par_ops, b.max_par_ops) << what;
-  EXPECT_EQ(a.total_par_bound, b.total_par_bound) << what;
   EXPECT_EQ(a.ps_min, b.ps_min) << what;
   EXPECT_EQ(a.ps_max, b.ps_max) << what;
   expect_same_graph(a.graph, b.graph, what);
@@ -162,8 +160,8 @@ TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossShapes) {
 }
 
 // Executing an expanded plan (served via the cache's template path) must
-// match the sequential ground truth on the fast, instrumented and sharded
-// engines alike.
+// match the sequential ground truth on the interpreter, with and without
+// its watchdog hooks, and on the VM alike.
 TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
   Design design = design_by_name(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
@@ -173,30 +171,29 @@ TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
     IndexedStore expected = seeded(design, sizes);
     IndexedStore fast_store = expected;
     IndexedStore inst_store = expected;
-    IndexedStore par_store = expected;
+    IndexedStore vm_store = expected;
     run_sequential(design.nest, sizes, expected);
 
     InstantiateOptions fast;
     fast.plan_cache = &cache;
+    fast.backend = Backend::Interp;
     (void)execute(prog, design.nest, sizes, fast_store, fast);
 
-    InstantiateOptions inst;
-    inst.plan_cache = &cache;
-    inst.watchdog.max_rounds = Int{1} << 40;  // forces instrumentation only
+    InstantiateOptions inst = fast;
+    inst.watchdog.max_rounds = Int{1} << 40;  // live hooks, never firing
     (void)execute(prog, design.nest, sizes, inst_store, inst);
 
-    InstantiateOptions par;
-    par.plan_cache = &cache;
-    par.threads = 4;
-    (void)execute(prog, design.nest, sizes, par_store, par);
+    InstantiateOptions vm;
+    vm.plan_cache = &cache;
+    (void)execute(prog, design.nest, sizes, vm_store, vm);
 
     for (const Stream& s : design.nest.streams()) {
       EXPECT_EQ(fast_store.elements(s.name()), expected.elements(s.name()))
-          << GetParam() << " fast n=" << n << " stream " << s.name();
+          << GetParam() << " interp n=" << n << " stream " << s.name();
       EXPECT_EQ(inst_store.elements(s.name()), expected.elements(s.name()))
-          << GetParam() << " instrumented n=" << n << " stream " << s.name();
-      EXPECT_EQ(par_store.elements(s.name()), expected.elements(s.name()))
-          << GetParam() << " sharded n=" << n << " stream " << s.name();
+          << GetParam() << " watchdog n=" << n << " stream " << s.name();
+      EXPECT_EQ(vm_store.elements(s.name()), expected.elements(s.name()))
+          << GetParam() << " vm n=" << n << " stream " << s.name();
     }
   }
   // One template per design/shape; each size expanded exactly once and

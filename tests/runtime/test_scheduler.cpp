@@ -253,7 +253,8 @@ TEST(Scheduler, ManyProcessChain) {
   std::vector<Channel*> chans;
   chans.reserve(kStages + 1);
   for (int i = 0; i <= kStages; ++i) {
-    chans.push_back(&sched.make_channel("c" + std::to_string(i)));
+    chans.push_back(
+        &sched.make_channel(std::string("c").append(std::to_string(i))));
   }
   std::vector<Value> vals;
   for (Value v = 0; v < kValues; ++v) vals.push_back(v);

@@ -19,40 +19,34 @@ TEST(Degradation, PressureEscalatesAndShrinksTheCache) {
   PlanCache cache(1 << 20);
   Degradation d(small_config(), cache);
   EXPECT_EQ(d.level(), DegradeLevel::Normal);
-  EXPECT_EQ(d.effective_threads(4), 4u);
 
   d.on_pressure();
   EXPECT_EQ(d.level(), DegradeLevel::ReducedCache);
   EXPECT_EQ(cache.byte_budget(), std::size_t{1} << 10);
-  EXPECT_EQ(d.effective_threads(4), 4u);  // still sharded at level 1
-
-  d.on_pressure();
-  EXPECT_EQ(d.level(), DegradeLevel::SingleThread);
-  EXPECT_EQ(d.effective_threads(4), 0u);  // forced sequential
 
   d.on_pressure();  // already at the floor: stays there
-  EXPECT_EQ(d.level(), DegradeLevel::SingleThread);
-  EXPECT_EQ(d.escalations(), 2u);
+  EXPECT_EQ(d.level(), DegradeLevel::ReducedCache);
+  EXPECT_EQ(d.escalations(), 1u);
 }
 
 TEST(Degradation, ConsecutiveSuccessesStepBackOneLevelAtATime) {
   PlanCache cache(1 << 20);
   Degradation d(small_config(), cache);
   d.on_pressure();
-  d.on_pressure();
-  ASSERT_EQ(d.level(), DegradeLevel::SingleThread);
+  ASSERT_EQ(d.level(), DegradeLevel::ReducedCache);
 
   d.on_success();
   d.on_success();
-  EXPECT_EQ(d.level(), DegradeLevel::SingleThread);  // 2 < 3, not yet
-  d.on_success();
-  EXPECT_EQ(d.level(), DegradeLevel::ReducedCache);
+  EXPECT_EQ(d.level(), DegradeLevel::ReducedCache);  // 2 < 3, not yet
   EXPECT_EQ(cache.byte_budget(), std::size_t{1} << 10);  // still reduced
-
-  for (int i = 0; i < 3; ++i) d.on_success();
+  d.on_success();
   EXPECT_EQ(d.level(), DegradeLevel::Normal);
   EXPECT_EQ(cache.byte_budget(), std::size_t{1} << 20);  // budget restored
-  EXPECT_EQ(d.recoveries(), 2u);
+  EXPECT_EQ(d.recoveries(), 1u);
+
+  for (int i = 0; i < 3; ++i) d.on_success();  // Normal is the floor
+  EXPECT_EQ(d.level(), DegradeLevel::Normal);
+  EXPECT_EQ(d.recoveries(), 1u);
 }
 
 TEST(Degradation, PressureResetsTheRecoveryCount) {
@@ -61,12 +55,13 @@ TEST(Degradation, PressureResetsTheRecoveryCount) {
   d.on_pressure();
   d.on_success();
   d.on_success();
-  d.on_pressure();  // a new spike voids the progress (stays ReducedCache,
-                    // already at max escalation? no: escalates further)
-  EXPECT_EQ(d.level(), DegradeLevel::SingleThread);
+  d.on_pressure();  // a new spike voids the progress
+  EXPECT_EQ(d.level(), DegradeLevel::ReducedCache);
   d.on_success();
   d.on_success();
-  EXPECT_EQ(d.level(), DegradeLevel::SingleThread);  // counter restarted
+  EXPECT_EQ(d.level(), DegradeLevel::ReducedCache);  // counter restarted
+  d.on_success();
+  EXPECT_EQ(d.level(), DegradeLevel::Normal);
 }
 
 TEST(Degradation, JsonSnapshotNamesTheLevel) {

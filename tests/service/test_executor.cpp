@@ -48,27 +48,39 @@ TEST(Executor, PingAndStatsAlwaysSucceed) {
   EXPECT_NE(doc.get("plan_cache"), nullptr);
   EXPECT_NE(doc.get("degradation"), nullptr);
   EXPECT_NE(doc.get("requests"), nullptr);
-  EXPECT_NE(doc.get("substrate"), nullptr);
+  EXPECT_NE(doc.get("bytecode"), nullptr);
 }
 
-TEST(Executor, ShardedRunSurfacesSubstrateCountersInStats) {
+TEST(Executor, SoloRunsTakeTheVmUnderTheDaemonDefaults) {
+  // The daemon's default round budget and deadline keep a solo run on the
+  // VM; an option the VM cannot honour falls back to the interpreter and
+  // says which one.
   Executor ex(fast_config());
   Request req = run_req("matmul2");
-  req.threads = 4;
+  req.verify = true;
   Response r = ex.handle(req);
   ASSERT_EQ(r.status, "ok") << r.message;
-  // The run's per-worker counters ride the metrics payload...
   Json metrics = Json::parse(r.metrics_json);
-  EXPECT_NE(metrics.get("workers"), nullptr) << r.metrics_json;
-  // ...and accumulate into the daemon-wide substrate totals.
+  EXPECT_EQ(metrics.str_or("backend", ""), "bytecode") << r.metrics_json;
+  EXPECT_EQ(metrics.int_or("batch", 0), 1);
+  EXPECT_EQ(metrics.str_or("fallback_reason", "?"), "");
+
+  req.capacity = 1;
+  r = ex.handle(req);
+  ASSERT_EQ(r.status, "ok") << r.message;
+  metrics = Json::parse(r.metrics_json);
+  EXPECT_EQ(metrics.str_or("backend", ""), "interp") << r.metrics_json;
+  EXPECT_NE(metrics.str_or("fallback_reason", "").find("capacity"),
+            std::string::npos)
+      << r.metrics_json;
+
   Request stats;
   stats.op = "stats";
-  Response sr = ex.handle(stats);
-  Json doc = Json::parse(sr.data_json);
-  const Json* substrate = doc.get("substrate");
-  ASSERT_NE(substrate, nullptr) << sr.data_json;
-  EXPECT_EQ(substrate->int_or("runs", 0), 1);
-  EXPECT_GT(substrate->int_or("tasks", 0), 0);
+  Json doc = Json::parse(ex.handle(stats).data_json);
+  const Json* bc = doc.get("bytecode");
+  ASSERT_NE(bc, nullptr);
+  EXPECT_EQ(bc->int_or("runs", 0), 1);
+  EXPECT_EQ(doc.get("substrate"), nullptr);
 }
 
 TEST(Executor, RunSucceedsWithMetricsAndVerify) {
@@ -183,7 +195,7 @@ TEST(Executor, WallClockDeadlineCancelsAWedgedRun) {
   // Injected stalls/delays advance *simulated* time — the scheduler
   // fast-forwards past them — so they cannot wedge the wall clock. What
   // the wall deadline exists for is a run that is simply too big for its
-  // budget: a large-size instrumented run takes seconds of real time
+  // budget: a large-size run takes longer than its 150 ms deadline
   // while rounds keep turning, and the cancel token is polled at every
   // round boundary.
   Request req = run_req("matmul2", 64);

@@ -123,7 +123,9 @@ TEST(Protocol, RetryAfterHintIsOmittedWhenNegative) {
   Response r;
   r.id = 1;
   r.op = "run";
-  r.status = "ok";
+  // A std::string temporary: assigning "ok" here trips a GCC 12 -O3
+  // -Wmaybe-uninitialized false positive.
+  r.status = std::string("ok");
   r.verdict = "success";
   EXPECT_EQ(r.to_json().find("retry_after_ms"), std::string::npos);
   r.retry_after_ms = 50;

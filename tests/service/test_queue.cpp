@@ -18,6 +18,10 @@ Job job_for(const std::string& tenant) {
   return j;
 }
 
+/// Tenant "t<i>" (built by append: GCC 12 -O3 flags "t" + temporary with
+/// a -Wrestrict false positive).
+std::string tenant(int i) { return std::string("t").append(std::to_string(i)); }
+
 TEST(RequestQueue, AdmitsUpToDepthThenSheds) {
   RequestQueue q(2, 0);
   EXPECT_TRUE(q.try_push(job_for("a")).admitted);
@@ -207,7 +211,7 @@ TEST(Coalescing, PopGroupSweepsMatchesAndPreservesFifo) {
 TEST(Coalescing, GroupCapBoundsTheSweep) {
   RequestQueue q(16, 0);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.try_push(run_job("t" + std::to_string(i), "matmul2", 4))
+    ASSERT_TRUE(q.try_push(run_job(tenant(i), "matmul2", 4))
                     .admitted);
   }
   EXPECT_EQ(q.pop_group(2).size(), 2u);
@@ -220,24 +224,24 @@ TEST(Coalescing, GroupCapOfOneNeverSweeps) {
   // when the whole backlog would coalesce with the front.
   RequestQueue q(16, 0);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.try_push(run_job("t" + std::to_string(i), "matmul2", 4))
+    ASSERT_TRUE(q.try_push(run_job(tenant(i), "matmul2", 4))
                     .admitted);
   }
   for (int i = 0; i < 3; ++i) {
     std::vector<Job> group = q.pop_group(1);
     ASSERT_EQ(group.size(), 1u);
-    EXPECT_EQ(group[0].req.tenant, "t" + std::to_string(i));
+    EXPECT_EQ(group[0].req.tenant, tenant(i));
   }
 }
 
 TEST(Coalescing, GroupCapEqualToMatchCountTakesAllInOneSweep) {
   RequestQueue q(16, 0);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.try_push(run_job("t" + std::to_string(i), "matmul2", 4))
+    ASSERT_TRUE(q.try_push(run_job(tenant(i), "matmul2", 4))
                     .admitted);
   }
   EXPECT_EQ(q.pop_group(4).size(), 4u);  // exactly at the cap — no split
-  for (int i = 0; i < 4; ++i) q.finish("t" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) q.finish(tenant(i));
   q.close();
   EXPECT_TRUE(q.pop_group(4).empty());  // nothing left behind
 }

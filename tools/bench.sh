@@ -88,10 +88,7 @@ label="${1:-$(git -C "${repo}" rev-parse --short HEAD)}"
 shift || true
 
 build="${repo}/build-bench"
-# -DSYSTOLIZE_WERROR=OFF: GCC 12 emits a -Wrestrict false positive in
-# symbolic/symbol.cpp under -O3 that would otherwise fail the build.
-cmake -B "${build}" -S "${repo}" \
-  -DCMAKE_BUILD_TYPE=Release -DSYSTOLIZE_WERROR:BOOL=OFF
+cmake -B "${build}" -S "${repo}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build}" -j "${jobs}" --target bench_endtoend
 
 raw="$(mktemp)"

@@ -139,9 +139,9 @@ echo "=== fuzz replay: checked-in corpus must stay clean ==="
   --corpus-dir="${repo}/designs/fuzz-corpus"
 
 echo "=== fuzz smoke under ASan/UBSan ==="
-# The generator's samples reach every substrate (parked-op scheduler,
-# work-stealing shards, bytecode VM) with hostile shapes the curated
-# suites never produce — a cheap way to hand the sanitizers fresh input.
+# The generator's samples reach both engines (parked-op interpreter,
+# bytecode VM) with hostile shapes the curated suites never produce — a
+# cheap way to hand the sanitizers fresh input.
 asan_fuzz_log="$(mktemp /tmp/systolize-ci-fuzz-asan-log-XXXXXX)"
 "${repo}/build-asan/tools/systolize" fuzz --seed=1 --count=40 \
   --corpus-dir="$(mktemp -d /tmp/systolize-ci-fuzz-asan-XXXXXX)" \
@@ -164,15 +164,15 @@ echo "=== cross-size differential: expand_template == build_plan ==="
 ctest --test-dir "${repo}/build" --output-on-failure \
   -R 'CrossSizeDifferential|PlanTemplate|PlanCache'
 
-echo "=== thread sanitizer: plan cache + work-stealing substrate ==="
+echo "=== thread sanitizer: plan cache + batched VM lane workers ==="
 cmake -B "${repo}/build-tsan" -S "${repo}" -DSYSTOLIZE_SANITIZE=thread
 cmake --build "${repo}/build-tsan" -j "${jobs}" --target test_runtime \
   test_service
 "${repo}/build-tsan/tests/test_runtime" --gtest_filter='PlanCache.*'
-# The WorkSteal hammer repeats sharded runs across thread counts — under
-# TSan it exercises every mailbox/bitmap/hint-queue race the substrate
-# claims to have closed (runtime/shard.hpp's determinism argument).
-"${repo}/build-tsan/tests/test_runtime" --gtest_filter='WorkSteal.*'
+# The LaneWorkers tests split batched VM dispatches into lane chunks over
+# a shared WorkerPool, a starved one and none — under TSan they exercise
+# the pool hand-off and the chunk claim loop of run_vm_batched.
+"${repo}/build-tsan/tests/test_runtime" --gtest_filter='LaneWorkers.*'
 
 echo "=== thread sanitizer: coalesced batched serve ==="
 # The coalescing path under TSan: pop_group's backlog sweep, the shared

@@ -88,8 +88,8 @@ int usage() {
       "                   [--format=text|json]\n"
       "  systolize fuzz   [--seed=S] [--count=N] [--no-shrink]\n"
       "                   [--corpus-dir=DIR] [--keep-rejects] [--replay]\n"
-      "                   [--mutate-rate=P] [--coeff-range=K] [--threads=N]\n"
-      "                   [--batch=N] [--format=text|json]\n"
+      "                   [--mutate-rate=P] [--coeff-range=K] [--batch=N]\n"
+      "                   [--format=text|json]\n"
       "  systolize serve  --socket=PATH [--workers=N] [--queue-depth=N]\n"
       "                   [--tenant-cap=N] [--round-budget=N]\n"
       "                   [--wall-timeout-ms=N] [--max-retries=N]\n"
@@ -130,9 +130,9 @@ int cmd_help() {
       "differential fuzzing (docs/static-analysis.md):\n"
       "  systolize fuzz samples random Appendix-A loop nests plus compatible\n"
       "  (step, place) designs and cross-checks the static verifier against\n"
-      "  every execution backend (interp fast path, instrumented, threaded\n"
-      "  work-stealing, bytecode solo and batched) and the sequential\n"
-      "  baseline. Exit 0 = the oracles agreed on every sample.\n"
+      "  both execution engines (the interpreter over build_plan and over\n"
+      "  plan templates, the bytecode VM solo and batched) and the\n"
+      "  sequential baseline. Exit 0 = the oracles agreed on every sample.\n"
       "  --seed=S         campaign seed; sample #i is a pure function of\n"
       "                   (S, i), so any sample replays in isolation and the\n"
       "                   same seed always yields the same samples and\n"
@@ -189,7 +189,7 @@ struct Options {
   Int watchdog_rounds = 0;       ///< 0 = unbounded
   Int watchdog_blocked = 0;      ///< 0 = unbounded
   bool deadlock_report = false;  ///< print JSON forensics on stall
-  Int threads = 0;               ///< >1 = sharded parallel run
+  Int threads = 0;               ///< lane workers of a batched VM run
   std::string backend;           ///< "", "interp" or "bytecode"
   Int batch = 1;                 ///< problem instances per dispatch
   Int plan_cache_bytes = -1;     ///< >=0: attach a budgeted PlanCache
@@ -494,7 +494,7 @@ int cmd_run(const Design& design, const Options& opt) {
     const std::size_t batch = static_cast<std::size_t>(opt.batch);
     if (iopt.faults != nullptr) {
       // Faults are per-instance by nature: replay each instance through
-      // the instrumented engine with its own derived fault seed, and
+      // the interpreter with its own derived fault seed, and
       // report one verdict per instance instead of failing the batch.
       int worst = 0;
       for (std::size_t b = 0; b < batch; ++b) {
@@ -866,8 +866,6 @@ int cmd_serve(const Options& opt) {
 
 int cmd_fuzz(const Options& opt) {
   fuzz::OracleOptions oracle;
-  oracle.threads =
-      opt.threads > 0 ? static_cast<unsigned>(opt.threads) : 2u;
   oracle.batch = opt.batch > 1 ? static_cast<std::size_t>(opt.batch) : 3u;
 
   if (opt.replay) {
