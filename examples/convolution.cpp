@@ -44,7 +44,9 @@ int main() {
   RunMetrics metrics = execute(prog, design.nest, sizes, store);
   std::cout << "run: " << metrics.to_string() << "\n";
   std::cout << "filtered signal:";
-  for (const auto& [idx, v] : store.elements("y")) std::cout << ' ' << v;
+  for (const IntVec& p : IndexedStore::domain(design.nest.stream("y"), sizes)) {
+    std::cout << ' ' << store.get("y", p);
+  }
   std::cout << "\n";
   bool ok = store.elements("y") == check.elements("y");
   std::cout << (ok ? "matches sequential ground truth\n"

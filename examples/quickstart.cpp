@@ -40,7 +40,9 @@ int main() {
   RunMetrics metrics = execute(prog, design.nest, sizes, store);
   std::cout << "run: " << metrics.to_string() << "\n";
   std::cout << "product coefficients:";
-  for (const auto& [idx, v] : store.elements("c")) std::cout << ' ' << v;
+  for (const IntVec& p : IndexedStore::domain(design.nest.stream("c"), sizes)) {
+    std::cout << ' ' << store.get("c", p);
+  }
   std::cout << "\n";
 
   // 5. Cross-check against the sequential execution of the source program.

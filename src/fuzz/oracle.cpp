@@ -47,13 +47,10 @@ IndexedStore seeded_lane(const LoopNest& nest, const Env& sizes, Int lane) {
 /// "" when equal, else a one-line description of the first divergence.
 std::string diff_stores(const LoopNest& nest, const IndexedStore& expected,
                         const IndexedStore& got, const std::string& what) {
-  for (const Stream& s : nest.streams()) {
-    if (expected.elements(s.name()) != got.elements(s.name())) {
-      return what + ": stream '" + s.name() +
-             "' diverges from the sequential baseline";
-    }
-  }
-  return "";
+  const std::string diff = first_divergence(nest, expected, got);
+  return diff.empty()
+             ? diff
+             : what + " diverges from the sequential baseline: " + diff;
 }
 
 void collect_error_rules(const VerifyReport& report,

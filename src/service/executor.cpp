@@ -42,20 +42,6 @@ PlanShape shape_of(const Design& design, const Request& req) {
   return shape;
 }
 
-/// Same deterministic value seeding as the CLI's run command, so daemon
-/// runs and one-shot runs verify against identical inputs. Instance `b`
-/// of a batch is deterministically perturbed (instance 0 stays the
-/// historical single-run seeding).
-IndexedStore seeded_store(const Design& design, const Env& sizes,
-                          Int b = 0) {
-  return make_initial_store(
-      design.nest, sizes, [b](const std::string& var, const IntVec& p) {
-        Value h = var.empty() ? 1 : var[0];
-        for (std::size_t i = 0; i < p.dim(); ++i) h = h * 31 + p[i];
-        return (h + 13 * b) % 23 - 11;
-      });
-}
-
 Backend backend_of(const Request& req) {
   if (req.backend == "interp") return Backend::Interp;
   if (req.backend == "bytecode") return Backend::Bytecode;
@@ -297,8 +283,7 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
       InstantiateOptions per = iopt;
       per.faults = &per_plan;
       IndexedStore store =
-          seeded_store(ce.design, sizes, static_cast<Int>(b));
-      IndexedStore expected = store;
+          make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b));
       std::string verdict = "success";
       std::string detail;
       try {
@@ -306,14 +291,15 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
             execute(ce.prog, ce.design.nest, sizes, store, per);
         faults_total += m.faults_injected;
         if (req.verify) {
+          IndexedStore expected =
+              make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b));
           run_sequential(ce.design.nest, sizes, expected);
-          for (const Stream& s : ce.design.nest.streams()) {
-            if (store.elements(s.name()) != expected.elements(s.name())) {
-              verdict = "Inconsistent";
-              detail = "differential check failed for stream " + s.name();
-              ++failures;
-              break;
-            }
+          const std::string diff =
+              first_divergence(ce.design.nest, expected, store);
+          if (!diff.empty()) {
+            verdict = "Inconsistent";
+            detail = "differential check failed for " + diff;
+            ++failures;
           }
         }
       } catch (const Error& e) {
@@ -346,7 +332,8 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
     std::vector<IndexedStore> stores;
     stores.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) {
-      stores.push_back(seeded_store(ce.design, sizes, static_cast<Int>(b)));
+      stores.push_back(
+          make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b)));
     }
     RunMetrics metrics = execute_batch(ce.prog, ce.design.nest, sizes,
                                        stores.data(), batch, iopt);
@@ -355,15 +342,15 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
     if (req.verify) {
       for (std::size_t b = 0; b < batch; ++b) {
         IndexedStore expected =
-            seeded_store(ce.design, sizes, static_cast<Int>(b));
+            make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b));
         run_sequential(ce.design.nest, sizes, expected);
-        for (const Stream& s : ce.design.nest.streams()) {
-          if (stores[b].elements(s.name()) != expected.elements(s.name())) {
-            raise(ErrorKind::Inconsistent,
-                  "differential check failed for instance " +
-                      std::to_string(b) + " stream " + s.name() +
-                      " (batched run disagrees with sequential baseline)");
-          }
+        const std::string diff =
+            first_divergence(ce.design.nest, expected, stores[b]);
+        if (!diff.empty()) {
+          raise(ErrorKind::Inconsistent,
+                "differential check failed for instance " +
+                    std::to_string(b) + ", " + diff +
+                    " (batched run disagrees with sequential baseline)");
         }
       }
     }
@@ -376,20 +363,19 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
     return r;
   }
 
-  IndexedStore store = seeded_store(ce.design, sizes);
-  IndexedStore expected = store;
+  IndexedStore store = make_seeded_store(ce.design.nest, sizes);
   RunMetrics metrics = execute(ce.prog, ce.design.nest, sizes, store, iopt);
   deadline.disarm();
   note_run_metrics(metrics);
 
   if (req.verify) {
+    IndexedStore expected = make_seeded_store(ce.design.nest, sizes);
     run_sequential(ce.design.nest, sizes, expected);
-    for (const Stream& s : ce.design.nest.streams()) {
-      if (store.elements(s.name()) != expected.elements(s.name())) {
-        raise(ErrorKind::Inconsistent,
-              "differential check failed for stream " + s.name() +
-                  " (parallel run disagrees with sequential baseline)");
-      }
+    const std::string diff = first_divergence(ce.design.nest, expected, store);
+    if (!diff.empty()) {
+      raise(ErrorKind::Inconsistent,
+            "differential check failed for " + diff +
+                " (parallel run disagrees with sequential baseline)");
     }
   }
 
@@ -460,7 +446,7 @@ std::vector<Response> Executor::group_attempt(
   stores.reserve(lanes);
   for (const Request& r : reqs) {
     for (Int b = 0; b < r.batch; ++b) {
-      stores.push_back(seeded_store(ce->design, sizes, b));
+      stores.push_back(make_seeded_store(ce->design.nest, sizes, b));
     }
   }
 
@@ -481,17 +467,17 @@ std::vector<Response> Executor::group_attempt(
       for (Int b = 0; b < r.batch; ++b, ++lane) {
         auto it = expected_by_instance.find(b);
         if (it == expected_by_instance.end()) {
-          IndexedStore expected = seeded_store(ce->design, sizes, b);
+          IndexedStore expected =
+              make_seeded_store(ce->design.nest, sizes, b);
           run_sequential(ce->design.nest, sizes, expected);
           it = expected_by_instance.emplace(b, std::move(expected)).first;
         }
-        for (const Stream& s : ce->design.nest.streams()) {
-          if (stores[lane].elements(s.name()) !=
-              it->second.elements(s.name())) {
-            raise(ErrorKind::Inconsistent,
-                  "differential check failed for coalesced lane " +
-                      std::to_string(lane) + " stream " + s.name());
-          }
+        const std::string diff =
+            first_divergence(ce->design.nest, it->second, stores[lane]);
+        if (!diff.empty()) {
+          raise(ErrorKind::Inconsistent,
+                "differential check failed for coalesced lane " +
+                    std::to_string(lane) + ", " + diff);
         }
       }
     }

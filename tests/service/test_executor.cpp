@@ -147,6 +147,23 @@ TEST(Executor, UnknownDesignClassifiesAsTerminalError) {
   EXPECT_EQ(r.retries, 0);  // terminal: no attempts wasted
 }
 
+TEST(Executor, NearOverflowSizeClassifiesAsOverflow) {
+  // 2^62: the store's box volume overflows Int, so seeding refuses the
+  // request before allocating; solo and batched runs alike, then the
+  // executor serves the next request.
+  Executor ex(fast_config());
+  for (Int batch : {1, 4}) {
+    Request req = run_req("matmul2", Int{1} << 62);
+    req.batch = batch;
+    Response r = ex.handle(req);
+    EXPECT_EQ(r.status, "error") << r.message;
+    EXPECT_EQ(r.kind, "Overflow") << r.message;
+    EXPECT_FALSE(r.retryable);
+    EXPECT_NE(r.message.find("stream '"), std::string::npos) << r.message;
+  }
+  EXPECT_EQ(ex.handle(run_req("matmul2")).status, "ok");
+}
+
 TEST(Executor, TransientFailuresRetryToSuccess) {
   Executor ex(fast_config());
   Request req = run_req("polyprod1");

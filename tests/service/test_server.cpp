@@ -113,6 +113,23 @@ TEST(Server, MalformedLinesGetErrorResponsesNotDisconnects) {
   server.wait();
 }
 
+TEST(Server, NearOverflowRunGetsAnErrorReplyAndServingContinues) {
+  Server server(fast_server("overflow"));
+  server.start();
+  Client client(temp_socket("overflow"));
+  Request huge = run_req(1);
+  huge.n = Int{1} << 62;
+  Response r = client.call(huge);
+  EXPECT_EQ(r.status, "error") << r.message;
+  EXPECT_EQ(r.kind, "Overflow") << r.message;
+  EXPECT_EQ(r.id, 1);
+  Response next = client.call(run_req(2));
+  EXPECT_EQ(next.status, "ok") << next.message;
+  EXPECT_EQ(next.id, 2);
+  server.shutdown();
+  server.wait();
+}
+
 TEST(Server, QueueFullYieldsRetryableRejectionsWithHints) {
   ServerConfig cfg = fast_server("overload");
   cfg.workers = 1;

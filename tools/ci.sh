@@ -114,6 +114,33 @@ done
 ctest --test-dir "${repo}/build" --output-on-failure \
   -R 'BytecodeDifferential|BytecodeValidation|BytecodeCache'
 
+echo "=== numeric edges: classified errors, never a crash or a hang ==="
+# Store construction sizes every stream's box with checked arithmetic and
+# checks each index map's image against the declared box, so a size whose
+# box volume overflows Int and a stream that reads outside its box both
+# end as exit 1 with a classified error before anything is allocated
+# (docs/runtime.md "Host store").
+edge_dir="$(mktemp -d /tmp/systolize-ci-edges-XXXXXX)"
+expect_error() {
+  local kind="$1"; shift
+  local out rc=0
+  out="$(timeout 60 "${repo}/build/tools/systolize" run "$@" 2>&1)" || rc=$?
+  [ "${rc}" -eq 1 ] && grep -q "error \[${kind}\]" <<<"${out}" || {
+    echo "expected exit 1 with error [${kind}] from run $*," \
+         "got ${rc}: ${out}" >&2
+    exit 1; }
+}
+expect_error Overflow "${repo}/designs/matmul2.sa" --n=4611686018427387904
+expect_error Overflow "${repo}/designs/matmul2.sa" \
+  --n=4611686018427387904 --batch=4
+sed 's/^stream a\[i\]  /stream a[i+1]/' "${repo}/designs/polyprod1.sa" \
+  > "${edge_dir}/offset.sa"
+expect_error Validation "${edge_dir}/offset.sa"
+sed 's/dims \[0 \.\. 2\*n\]/dims [0 .. n]/' "${repo}/designs/polyprod1.sa" \
+  > "${edge_dir}/short_box.sa"
+expect_error Validation "${edge_dir}/short_box.sa" --n=4
+rm -rf "${edge_dir}"
+
 echo "=== fuzz smoke: bounded differential campaign, fixed seed ==="
 # The PR10 oracle gate (docs/static-analysis.md "Differential fuzzing"):
 # a fixed-seed campaign over the full backend matrix must end with zero
@@ -283,5 +310,17 @@ echo "=== bench smoke: fuzz oracle throughput ==="
 
 echo "=== bench gate: fuzz oracle must hold the PR10 numbers ==="
 "${repo}/tools/bench.sh" --compare PR10-fuzz latest 10 'BM_FuzzThroughput'
+
+echo "=== benchmark smoke: perfbench unit tests and one short run each ==="
+# The repo benchmark (BENCHMARK.json, perfbench/README.md) builds its own
+# Release CLI and traced replay from src/. A short traced run of each
+# workload catches a replay that no longer compiles against the library
+# or that disagrees with the real binaries on any op. No timing gate.
+(cd "${repo}" && python3 -m unittest discover -s perfbench -p 'test_*.py')
+for workload in cli_run serve_solo serve_batch design_search; do
+  python3 "${repo}/perfbench/run.py" --workload "${workload}" --seed 1 \
+    --seconds 3 --trace 1 > /dev/null || {
+    echo "perfbench ${workload} smoke run failed" >&2; exit 1; }
+done
 
 echo "=== CI OK: plain and sanitizer configurations both green ==="

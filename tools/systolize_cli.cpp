@@ -416,24 +416,9 @@ bool parse_backend(const std::string& name, Backend* out) {
   return true;
 }
 
-/// Instance `b` of a batch: instance 0 is exactly the historical single-
-/// run seeding, later instances are deterministically perturbed so lanes
-/// carry genuinely different data.
-IndexedStore seeded_store(const Design& design, const Env& sizes, Int b) {
-  return make_initial_store(
-      design.nest, sizes, [b](const std::string& var, const IntVec& p) {
-        Value h = var.empty() ? 1 : var[0];
-        for (std::size_t i = 0; i < p.dim(); ++i) h = h * 31 + p[i];
-        return (h + 13 * b) % 23 - 11;
-      });
-}
-
 int cmd_run(const Design& design, const Options& opt) {
   CompiledProgram prog = compile(design.nest, design.spec);
   Env sizes = sizes_of(design, opt);
-
-  IndexedStore store = seeded_store(design, sizes, 0);
-  IndexedStore expected = store;
 
   InstantiateOptions iopt;
   if (!parse_backend(opt.backend, &iopt.backend)) {
@@ -490,6 +475,8 @@ int cmd_run(const Design& design, const Options& opt) {
   }
   iopt.verify_plan = opt.verify_plan;
 
+  // Instance b of a batch is seeded as lane b (make_seeded_store): lane 0
+  // is the single-run seeding, later lanes carry different data.
   if (opt.batch > 1) {
     const std::size_t batch = static_cast<std::size_t>(opt.batch);
     if (iopt.faults != nullptr) {
@@ -503,19 +490,19 @@ int cmd_run(const Design& design, const Options& opt) {
         InstantiateOptions per = iopt;
         per.faults = &instance_plan;
         IndexedStore bstore =
-            seeded_store(design, sizes, static_cast<Int>(b));
-        IndexedStore bexpected = bstore;
+            make_seeded_store(design.nest, sizes, static_cast<Int>(b));
         try {
           RunMetrics m = execute(prog, design.nest, sizes, bstore, per);
           std::string verdict = "ok";
           if (opt.verify) {
+            IndexedStore bexpected =
+                make_seeded_store(design.nest, sizes, static_cast<Int>(b));
             run_sequential(design.nest, sizes, bexpected);
-            for (const Stream& s : design.nest.streams()) {
-              if (bstore.elements(s.name()) !=
-                  bexpected.elements(s.name())) {
-                verdict = "verify-failed stream " + s.name();
-                worst = std::max(worst, 1);
-              }
+            const std::string diff =
+                first_divergence(design.nest, bexpected, bstore);
+            if (!diff.empty()) {
+              verdict = "verify-failed " + diff;
+              worst = std::max(worst, 1);
             }
           }
           std::cout << "instance " << b << ": " << verdict
@@ -535,7 +522,8 @@ int cmd_run(const Design& design, const Options& opt) {
     std::vector<IndexedStore> stores;
     stores.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) {
-      stores.push_back(seeded_store(design, sizes, static_cast<Int>(b)));
+      stores.push_back(
+          make_seeded_store(design.nest, sizes, static_cast<Int>(b)));
     }
     RunMetrics metrics =
         execute_batch(prog, design.nest, sizes, stores.data(), batch, iopt);
@@ -544,15 +532,14 @@ int cmd_run(const Design& design, const Options& opt) {
     if (opt.verify) {
       for (std::size_t b = 0; b < batch; ++b) {
         IndexedStore bexpected =
-            seeded_store(design, sizes, static_cast<Int>(b));
+            make_seeded_store(design.nest, sizes, static_cast<Int>(b));
         run_sequential(design.nest, sizes, bexpected);
-        for (const Stream& s : design.nest.streams()) {
-          if (stores[b].elements(s.name()) !=
-              bexpected.elements(s.name())) {
-            std::cout << "VERIFY FAILED for instance " << b << " stream "
-                      << s.name() << "\n";
-            return 1;
-          }
+        const std::string diff =
+            first_divergence(design.nest, bexpected, stores[b]);
+        if (!diff.empty()) {
+          std::cout << "VERIFY FAILED for instance " << b << " " << diff
+                    << "\n";
+          return 1;
         }
       }
       std::cout << "verify: OK (all " << batch
@@ -561,6 +548,7 @@ int cmd_run(const Design& design, const Options& opt) {
     return 0;
   }
 
+  IndexedStore store = make_seeded_store(design.nest, sizes);
   RunMetrics metrics = execute(prog, design.nest, sizes, store, iopt);
   deadline.disarm();
   std::cout << metrics.to_string() << "\n";
@@ -570,12 +558,12 @@ int cmd_run(const Design& design, const Options& opt) {
   }
 
   if (opt.verify) {
+    IndexedStore expected = make_seeded_store(design.nest, sizes);
     run_sequential(design.nest, sizes, expected);
-    for (const Stream& s : design.nest.streams()) {
-      if (store.elements(s.name()) != expected.elements(s.name())) {
-        std::cout << "VERIFY FAILED for stream " << s.name() << "\n";
-        return 1;
-      }
+    const std::string diff = first_divergence(design.nest, expected, store);
+    if (!diff.empty()) {
+      std::cout << "VERIFY FAILED for " << diff << "\n";
+      return 1;
     }
     std::cout << "verify: OK (matches sequential execution)\n";
   }
