@@ -98,7 +98,7 @@ void run_sequential(const LoopNest& nest, const Env& env,
   //   base + sum_k coef_k * x_k,   coef = strides * index map,
   // in its array. The image check puts every such offset inside the
   // array; unsigned arithmetic keeps the partial sums defined and the
-  // final offsets exact. One map slot per stream serves every statement.
+  // final offsets exact. Statement slot i serves stream i throughout.
   struct Access {
     Value* data = nullptr;
     Value* slot = nullptr;
@@ -107,7 +107,7 @@ void run_sequential(const LoopNest& nest, const Env& env,
     std::vector<std::uint64_t> advance;  ///< offset change when x_k steps
     std::vector<std::uint64_t> rewind;   ///< change when x_k wraps to first
   };
-  std::map<std::string, Value> vals;
+  std::vector<Value> slots(streams.size());
   std::vector<Access> access(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const Stream& s = streams[i];
@@ -116,7 +116,7 @@ void run_sequential(const LoopNest& nest, const Env& env,
     const IntMatrix& m = s.index_map();
     Access& a = access[i];
     a.data = array.data();
-    a.slot = &vals[s.name()];
+    a.slot = &slots[i];
     a.update = s.access() == StreamAccess::Update;
     a.advance.assign(r, 0);
     a.rewind.assign(r, 0);
@@ -135,10 +135,10 @@ void run_sequential(const LoopNest& nest, const Env& env,
     }
   }
 
-  const IndexedBody& body = nest.body();
+  const Statement& body = nest.body();
   for (;;) {
     for (Access& a : access) *a.slot = a.data[a.off];
-    body(x, vals);
+    body.apply(x, slots.data());
     for (Access& a : access) {
       if (a.update) a.data[a.off] = *a.slot;
     }

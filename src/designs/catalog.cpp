@@ -1,274 +1,88 @@
 #include "designs/catalog.hpp"
 
+#include <string_view>
+
+#include "frontend/parser.hpp"
+
 namespace systolize {
 namespace {
 
-Guard n_at_least_one() {
-  Guard g;
-  g.add(Constraint{AffineExpr(1), AffineExpr(size_symbol("n"))});
-  return g;
-}
+// designs/<name>.sa as sa_<name>, embedded at build time
+// (src/CMakeLists.txt): the only definition of each design.
+#include "catalog_sources.inc"
 
-/// c += a * b with the given stream names.
-StatementBody mul_accumulate(std::string a, std::string b, std::string c) {
-  return [a = std::move(a), b = std::move(b),
-          c = std::move(c)](std::map<std::string, Value>& v) {
-    v.at(c) += v.at(a) * v.at(b);
-  };
-}
+struct Entry {
+  const char* name;
+  std::string_view source;
+  const char* description;
+};
 
-LoopNest polyprod_nest() {
-  Symbol n = size_symbol("n");
-  AffineExpr zero(0);
-  AffineExpr en(n);
-  std::vector<LoopSpec> loops = {
-      {"i", zero, en, 1},
-      {"j", zero, en, 1},
-  };
-  std::vector<Stream> streams = {
-      Stream("a", IntMatrix{{1, 0}}, {VarDim{zero, en}}, StreamAccess::Read),
-      Stream("b", IntMatrix{{0, 1}}, {VarDim{zero, en}}, StreamAccess::Read),
-      Stream("c", IntMatrix{{1, 1}}, {VarDim{zero, en * Rational(2)}},
-             StreamAccess::Update),
-  };
-  return LoopNest("polyprod", std::move(loops), std::move(streams), {n},
-                  n_at_least_one(), mul_accumulate("a", "b", "c"),
-                  "c := c + a * b");
-}
+/// The catalog in all_designs() order.
+constexpr Entry kEntries[] = {
+    {"polyprod1", sa_polyprod1,
+     "polynomial product, place.(i,j) = i (Appendix D.1)"},
+    {"polyprod2", sa_polyprod2,
+     "polynomial product, place.(i,j) = i+j (Appendix D.2)"},
+    {"matmul1", sa_matmul1,
+     "matrix product, place.(i,j,k) = (i,j) (Appendix E.1)"},
+    {"matmul2", sa_matmul2,
+     "matrix product, place.(i,j,k) = (i-k,j-k) — the Kung-Leiserson array "
+     "(Appendix E.2)"},
+    {"matmul3", sa_matmul3,
+     "matrix product, place.(i,j,k) = (i,k) — a stationary"},
+    {"matmul4", sa_matmul4,
+     "matrix product, place.(i,j,k) = (k,j) — b stationary"},
+    {"polyprod3", sa_polyprod3,
+     "polynomial product, place.(i,j) = j — b stationary, c flows against "
+     "a"},
+    {"convolution", sa_convolution,
+     "FIR convolution, place.(i,j) = i: x flows against w"},
+    {"correlation", sa_correlation,
+     "correlation c[i-j] += a[i]*b[j]: stream c has flow 1/3"},
+    {"fir_bank", sa_fir_bank,
+     "FIR filter bank, place.(i,f,j) = (i,f): y stationary, w and x "
+     "counter-flow along the tap axis"},
+    {"closure", sa_closure,
+     "transitive-closure step c[i,j] += t[i,k]*u[k,j] with a descending k "
+     "loop, place.(i,j,k) = (i,j)"},
+};
 
-LoopNest matmul_nest() {
-  Symbol n = size_symbol("n");
-  AffineExpr zero(0);
-  AffineExpr en(n);
-  std::vector<LoopSpec> loops = {
-      {"i", zero, en, 1},
-      {"j", zero, en, 1},
-      {"k", zero, en, 1},
-  };
-  std::vector<Stream> streams = {
-      Stream("a", IntMatrix{{1, 0, 0}, {0, 0, 1}},
-             {VarDim{zero, en}, VarDim{zero, en}}, StreamAccess::Read),
-      Stream("b", IntMatrix{{0, 0, 1}, {0, 1, 0}},
-             {VarDim{zero, en}, VarDim{zero, en}}, StreamAccess::Read),
-      Stream("c", IntMatrix{{1, 0, 0}, {0, 1, 0}},
-             {VarDim{zero, en}, VarDim{zero, en}}, StreamAccess::Update),
-  };
-  return LoopNest("matmul", std::move(loops), std::move(streams), {n},
-                  n_at_least_one(), mul_accumulate("a", "b", "c"),
-                  "c := c + a * b");
+Design parse_entry(const Entry& entry) {
+  Design d = frontend::parse_design(std::string(entry.source));
+  d.description = entry.description;
+  return d;
 }
 
 }  // namespace
 
-Design polyprod_design1() {
-  return Design{
-      polyprod_nest(),
-      ArraySpec(StepFunction(IntVec{2, 1}), PlaceFunction(IntMatrix{{1, 0}}),
-                {{"a", IntVec{1}}}),
-      "polynomial product, place.(i,j) = i (Appendix D.1)"};
-}
-
-Design polyprod_design2() {
-  return Design{
-      polyprod_nest(),
-      ArraySpec(StepFunction(IntVec{2, 1}), PlaceFunction(IntMatrix{{1, 1}}),
-                {{"c", IntVec{1}}}),
-      "polynomial product, place.(i,j) = i+j (Appendix D.2)"};
-}
-
-Design matmul_design1() {
-  return Design{matmul_nest(),
-                ArraySpec(StepFunction(IntVec{1, 1, 1}),
-                          PlaceFunction(IntMatrix{{1, 0, 0}, {0, 1, 0}}),
-                          {{"c", IntVec{1, 0}}}),
-                "matrix product, place.(i,j,k) = (i,j) (Appendix E.1)"};
-}
-
-Design matmul_design2() {
-  return Design{matmul_nest(),
-                ArraySpec(StepFunction(IntVec{1, 1, 1}),
-                          PlaceFunction(IntMatrix{{1, 0, -1}, {0, 1, -1}})),
-                "matrix product, place.(i,j,k) = (i-k,j-k) — the "
-                "Kung-Leiserson array (Appendix E.2)"};
-}
-
-Design matmul_design3() {
-  return Design{matmul_nest(),
-                ArraySpec(StepFunction(IntVec{1, 1, 1}),
-                          PlaceFunction(IntMatrix{{1, 0, 0}, {0, 0, 1}}),
-                          {{"a", IntVec{0, 1}}}),
-                "matrix product, place.(i,j,k) = (i,k) — a stationary"};
-}
-
-Design matmul_design4() {
-  return Design{matmul_nest(),
-                ArraySpec(StepFunction(IntVec{1, 1, 1}),
-                          PlaceFunction(IntMatrix{{0, 0, 1}, {0, 1, 0}}),
-                          {{"b", IntVec{1, 0}}}),
-                "matrix product, place.(i,j,k) = (k,j) — b stationary"};
-}
-
-Design polyprod_design3() {
-  return Design{
-      polyprod_nest(),
-      ArraySpec(StepFunction(IntVec{2, 1}), PlaceFunction(IntMatrix{{0, 1}}),
-                {{"b", IntVec{1}}}),
-      "polynomial product, place.(i,j) = j — b stationary, c flows against "
-      "a"};
-}
-
-Design convolution_design() {
-  Symbol n = size_symbol("n");
-  Symbol m = size_symbol("m");
-  AffineExpr zero(0);
-  AffineExpr en(n);
-  AffineExpr em(m);
-  std::vector<LoopSpec> loops = {
-      {"i", zero, en, 1},
-      {"j", zero, em, 1},
-  };
-  std::vector<Stream> streams = {
-      Stream("w", IntMatrix{{0, 1}}, {VarDim{zero, em}}, StreamAccess::Read),
-      Stream("x", IntMatrix{{1, 1}}, {VarDim{zero, en + em}},
-             StreamAccess::Read),
-      Stream("y", IntMatrix{{1, 0}}, {VarDim{zero, en}}, StreamAccess::Update),
-  };
-  Guard g;
-  g.add(Constraint{AffineExpr(1), en});
-  g.add(Constraint{AffineExpr(1), em});
-  LoopNest nest("convolution", std::move(loops), std::move(streams), {n, m},
-                std::move(g), mul_accumulate("w", "x", "y"),
-                "y := y + w * x");
-  return Design{std::move(nest),
-                ArraySpec(StepFunction(IntVec{1, 2}),
-                          PlaceFunction(IntMatrix{{1, 0}}),
-                          {{"y", IntVec{1}}}),
-                "FIR convolution, place.(i,j) = i: x flows against w"};
-}
-
-Design correlation_design() {
-  Symbol n = size_symbol("n");
-  AffineExpr zero(0);
-  AffineExpr en(n);
-  std::vector<LoopSpec> loops = {
-      {"i", zero, en, 1},
-      {"j", zero, en, 1},
-  };
-  std::vector<Stream> streams = {
-      Stream("a", IntMatrix{{1, 0}}, {VarDim{zero, en}}, StreamAccess::Read),
-      Stream("b", IntMatrix{{0, 1}}, {VarDim{zero, en}}, StreamAccess::Read),
-      Stream("c", IntMatrix{{1, -1}}, {VarDim{-en, en}},
-             StreamAccess::Update),
-  };
-  LoopNest nest("correlation", std::move(loops), std::move(streams), {n},
-                n_at_least_one(), mul_accumulate("a", "b", "c"),
-                "c := c + a * b");
-  return Design{std::move(nest),
-                ArraySpec(StepFunction(IntVec{1, 2}),
-                          PlaceFunction(IntMatrix{{1, 0}}),
-                          {{"a", IntVec{1}}}),
-                "correlation c[i-j] += a[i]*b[j]: stream c has flow 1/3"};
-}
-
-Design fir_bank_design() {
-  Symbol n = size_symbol("n");
-  Symbol m = size_symbol("m");
-  AffineExpr zero(0);
-  AffineExpr en(n);
-  AffineExpr em(m);
-  std::vector<LoopSpec> loops = {
-      {"i", zero, en, 1},
-      {"f", zero, em, 1},
-      {"j", zero, em, 1},
-  };
-  // The signal is replicated per filter row (x indexed [i+j, f]) so every
-  // stream keeps the rank r-1 = 2 full-pipelining restriction demands.
-  std::vector<Stream> streams = {
-      Stream("w", IntMatrix{{0, 1, 0}, {0, 0, 1}},
-             {VarDim{zero, em}, VarDim{zero, em}}, StreamAccess::Read),
-      Stream("x", IntMatrix{{1, 0, 1}, {0, 1, 0}},
-             {VarDim{zero, en + em}, VarDim{zero, em}}, StreamAccess::Read),
-      Stream("y", IntMatrix{{1, 0, 0}, {0, 1, 0}},
-             {VarDim{zero, en}, VarDim{zero, em}}, StreamAccess::Update),
-  };
-  Guard g;
-  g.add(Constraint{AffineExpr(1), en});
-  g.add(Constraint{AffineExpr(1), em});
-  LoopNest nest("fir_bank", std::move(loops), std::move(streams), {n, m},
-                std::move(g), mul_accumulate("w", "x", "y"),
-                "y := y + w * x");
-  return Design{std::move(nest),
-                ArraySpec(StepFunction(IntVec{1, 1, 2}),
-                          PlaceFunction(IntMatrix{{1, 0, 0}, {0, 1, 0}}),
-                          {{"y", IntVec{1, 0}}}),
-                "FIR filter bank, place.(i,f,j) = (i,f): y stationary, "
-                "w and x counter-flow along the tap axis"};
-}
-
-Design closure_design() {
-  Symbol n = size_symbol("n");
-  AffineExpr zero(0);
-  AffineExpr en(n);
-  // The k loop runs descending; the step's negative k coefficient keeps
-  // c's update order consistent with sequential execution.
-  std::vector<LoopSpec> loops = {
-      {"i", zero, en, 1},
-      {"j", zero, en, 1},
-      {"k", zero, en, -1},
-  };
-  std::vector<Stream> streams = {
-      Stream("t", IntMatrix{{1, 0, 0}, {0, 0, 1}},
-             {VarDim{zero, en}, VarDim{zero, en}}, StreamAccess::Read),
-      Stream("u", IntMatrix{{0, 0, 1}, {0, 1, 0}},
-             {VarDim{zero, en}, VarDim{zero, en}}, StreamAccess::Read),
-      Stream("c", IntMatrix{{1, 0, 0}, {0, 1, 0}},
-             {VarDim{zero, en}, VarDim{zero, en}}, StreamAccess::Update),
-  };
-  LoopNest nest("closure", std::move(loops), std::move(streams), {n},
-                n_at_least_one(), mul_accumulate("t", "u", "c"),
-                "c := c + t * u");
-  return Design{std::move(nest),
-                ArraySpec(StepFunction(IntVec{1, 1, -1}),
-                          PlaceFunction(IntMatrix{{1, 0, 0}, {0, 1, 0}}),
-                          {{"c", IntVec{1, 0}}}),
-                "transitive-closure step c[i,j] += t[i,k]*u[k,j] with a "
-                "descending k loop, place.(i,j,k) = (i,j)"};
-}
+Design polyprod_design1() { return design_by_name("polyprod1"); }
+Design polyprod_design2() { return design_by_name("polyprod2"); }
+Design matmul_design1() { return design_by_name("matmul1"); }
+Design matmul_design2() { return design_by_name("matmul2"); }
+Design matmul_design3() { return design_by_name("matmul3"); }
+Design matmul_design4() { return design_by_name("matmul4"); }
+Design polyprod_design3() { return design_by_name("polyprod3"); }
+Design convolution_design() { return design_by_name("convolution"); }
+Design correlation_design() { return design_by_name("correlation"); }
+Design fir_bank_design() { return design_by_name("fir_bank"); }
+Design closure_design() { return design_by_name("closure"); }
 
 std::vector<Design> all_designs() {
   std::vector<Design> designs;
-  designs.push_back(polyprod_design1());
-  designs.push_back(polyprod_design2());
-  designs.push_back(matmul_design1());
-  designs.push_back(matmul_design2());
-  designs.push_back(matmul_design3());
-  designs.push_back(matmul_design4());
-  designs.push_back(polyprod_design3());
-  designs.push_back(convolution_design());
-  designs.push_back(correlation_design());
-  designs.push_back(fir_bank_design());
-  designs.push_back(closure_design());
+  for (const Entry& e : kEntries) designs.push_back(parse_entry(e));
   return designs;
 }
 
 std::vector<std::string> catalog_names() {
-  return {"polyprod1",   "polyprod2",   "matmul1", "matmul2",
-          "matmul3",     "matmul4",     "polyprod3",
-          "convolution", "correlation", "fir_bank", "closure"};
+  std::vector<std::string> names;
+  for (const Entry& e : kEntries) names.emplace_back(e.name);
+  return names;
 }
 
 Design design_by_name(const std::string& name) {
-  if (name == "polyprod1") return polyprod_design1();
-  if (name == "polyprod2") return polyprod_design2();
-  if (name == "matmul1") return matmul_design1();
-  if (name == "matmul2") return matmul_design2();
-  if (name == "matmul3") return matmul_design3();
-  if (name == "matmul4") return matmul_design4();
-  if (name == "polyprod3") return polyprod_design3();
-  if (name == "convolution") return convolution_design();
-  if (name == "correlation") return correlation_design();
-  if (name == "fir_bank") return fir_bank_design();
-  if (name == "closure") return closure_design();
+  for (const Entry& e : kEntries) {
+    if (name == e.name) return parse_entry(e);
+  }
   raise(ErrorKind::Validation, "unknown design '" + name + "'");
 }
 

@@ -1,60 +1,45 @@
 #include "frontend/parser.hpp"
 
+#include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 
 #include "frontend/lexer.hpp"
 
 namespace systolize::frontend {
 namespace {
 
-/// Executable expression tree for the basic statement's right-hand side.
-struct StmtExpr {
-  enum class Kind { Const, Var, Add, Sub, Mul };
-  Kind kind = Kind::Const;
-  Value constant = 0;
-  std::string var;
-  std::shared_ptr<StmtExpr> lhs;
-  std::shared_ptr<StmtExpr> rhs;
-
-  [[nodiscard]] Value eval(const std::map<std::string, Value>& env) const {
-    switch (kind) {
-      case Kind::Const:
-        return constant;
-      case Kind::Var:
-        return env.at(var);
-      case Kind::Add:
-        return lhs->eval(env) + rhs->eval(env);
-      case Kind::Sub:
-        return lhs->eval(env) - rhs->eval(env);
-      case Kind::Mul:
-        return lhs->eval(env) * rhs->eval(env);
-    }
-    return 0;
-  }
-
-  [[nodiscard]] std::string render() const {
-    switch (kind) {
-      case Kind::Const:
-        return std::to_string(constant);
-      case Kind::Var:
-        return var;
-      case Kind::Add:
-        return lhs->render() + " + " + rhs->render();
-      case Kind::Sub:
-        return lhs->render() + " - " + rhs->render();
-      case Kind::Mul:
-        return lhs->render() + " * " + rhs->render();
-    }
-    return "?";
-  }
-
-  void collect_vars(std::vector<std::string>& out) const {
-    if (kind == Kind::Var) out.push_back(var);
-    if (lhs) lhs->collect_vars(out);
-    if (rhs) rhs->collect_vars(out);
-  }
+/// The basic statement as parsed, before its names resolve to stream
+/// slots (streams may be declared after the body).
+struct StatementSyntax {
+  std::string target;
+  std::vector<Statement::Instr> rhs;  ///< Slot args index `names`
+  std::vector<std::string> names;     ///< operands, in source order
+  bool guarded = false;
+  IntVec guard;  ///< guard . x + guard_constant >= 0
+  Int guard_constant = 0;
 };
+
+/// Resolve the parsed names to slots in `streams` order.
+Statement resolve_statement(const StatementSyntax& st,
+                            const std::vector<Stream>& streams) {
+  auto slot_of = [&](const std::string& v, const std::string& role) {
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (streams[i].name() == v) return i;
+    }
+    raise(ErrorKind::Validation,
+          "body " + role + " '" + v + "', which is not a stream");
+  };
+  const std::size_t target = slot_of(st.target, "assigns to");
+  std::vector<Statement::Instr> rhs = st.rhs;
+  for (Statement::Instr& in : rhs) {
+    if (in.op != Statement::Op::Slot) continue;
+    in.arg = static_cast<Value>(
+        slot_of(st.names[static_cast<std::size_t>(in.arg)], "uses"));
+  }
+  if (!st.guarded) return Statement(target, std::move(rhs));
+  return Statement(target, std::move(rhs), st.guard, st.guard_constant);
+}
 
 struct ParsedStream {
   std::string name;
@@ -91,6 +76,15 @@ class Parser {
       }
     }
     return finish();
+  }
+
+  /// A lone statement over given loops and streams.
+  Statement statement(std::vector<LoopSpec> loops,
+                      const std::vector<Stream>& streams) {
+    loops_ = std::move(loops);
+    StatementSyntax st = parse_statement_syntax();
+    if (peek().kind != TokKind::End) fail("expected the end of the statement");
+    return resolve_statement(st, streams);
   }
 
  private:
@@ -285,72 +279,61 @@ class Parser {
     streams_.push_back(std::move(s));
   }
 
-  std::shared_ptr<StmtExpr> parse_stmt_expr() {
-    auto e = parse_stmt_term();
+  void push(StatementSyntax& st, Statement::Op op, Value arg = 0) {
+    st.rhs.push_back(Statement::Instr{op, arg});
+  }
+
+  void parse_stmt_expr(StatementSyntax& st) {
+    parse_stmt_term(st);
     for (;;) {
       if (accept(TokKind::Plus)) {
-        auto node = std::make_shared<StmtExpr>();
-        node->kind = StmtExpr::Kind::Add;
-        node->lhs = std::move(e);
-        node->rhs = parse_stmt_term();
-        e = std::move(node);
+        parse_stmt_term(st);
+        push(st, Statement::Op::Add);
       } else if (accept(TokKind::Minus)) {
-        auto node = std::make_shared<StmtExpr>();
-        node->kind = StmtExpr::Kind::Sub;
-        node->lhs = std::move(e);
-        node->rhs = parse_stmt_term();
-        e = std::move(node);
+        parse_stmt_term(st);
+        push(st, Statement::Op::Sub);
       } else {
-        return e;
+        return;
       }
     }
   }
 
-  std::shared_ptr<StmtExpr> parse_stmt_term() {
-    auto e = parse_stmt_factor();
+  void parse_stmt_term(StatementSyntax& st) {
+    parse_stmt_factor(st);
     while (accept(TokKind::Star)) {
-      auto node = std::make_shared<StmtExpr>();
-      node->kind = StmtExpr::Kind::Mul;
-      node->lhs = std::move(e);
-      node->rhs = parse_stmt_factor();
-      e = std::move(node);
+      parse_stmt_factor(st);
+      push(st, Statement::Op::Mul);
     }
-    return e;
   }
 
-  std::shared_ptr<StmtExpr> parse_stmt_factor() {
-    auto node = std::make_shared<StmtExpr>();
-    if (accept(TokKind::Minus)) {
-      node->kind = StmtExpr::Kind::Sub;
-      node->lhs = std::make_shared<StmtExpr>();  // 0 - x
-      node->rhs = parse_stmt_factor();
-      return node;
-    }
-    if (peek().kind == TokKind::Integer) {
-      node->kind = StmtExpr::Kind::Const;
-      node->constant = take(TokKind::Integer).value;
-      return node;
-    }
-    if (peek().kind == TokKind::Ident) {
-      node->kind = StmtExpr::Kind::Var;
-      node->var = take(TokKind::Ident).text;
-      return node;
-    }
-    if (accept(TokKind::LParen)) {
-      node = parse_stmt_expr();
+  void parse_stmt_factor(StatementSyntax& st) {
+    if (accept(TokKind::Minus)) {  // -x is 0 - x
+      push(st, Statement::Op::Const);
+      parse_stmt_factor(st);
+      push(st, Statement::Op::Sub);
+    } else if (peek().kind == TokKind::Integer) {
+      push(st, Statement::Op::Const, take(TokKind::Integer).value);
+    } else if (peek().kind == TokKind::Ident) {
+      st.names.push_back(take(TokKind::Ident).text);
+      push(st, Statement::Op::Slot, static_cast<Value>(st.names.size() - 1));
+    } else if (accept(TokKind::LParen)) {
+      parse_stmt_expr(st);
       take(TokKind::RParen);
-      return node;
+    } else {
+      fail("expected a statement expression");
     }
-    fail("expected a statement expression");
   }
 
-  void parse_body() {
-    expect_keyword("body");
-    body_target_ = take(TokKind::Ident).text;
+  /// The statement grammar:
+  ///   <target> := <expr> [when <loop-affine> (>= | <=) <loop-affine>]
+  /// where <expr> is +, - (left associative) and * (binding tighter) over
+  /// stream names, integers, unary minus and parentheses. The optional
+  /// guard is the paper's B_j -> S_j form (Sect. 3.1).
+  StatementSyntax parse_statement_syntax() {
+    StatementSyntax st;
+    st.target = take(TokKind::Ident).text;
     take(TokKind::Assign);
-    body_expr_ = parse_stmt_expr();
-    // Optional guard (the paper's B_j -> S_j form, Sect. 3.1):
-    //   body c := c + a * b when i >= j
+    parse_stmt_expr(st);
     if (peek().kind == TokKind::Ident && peek().text == "when") {
       take(TokKind::Ident);
       auto [lc, lk] = parse_loop_affine("guard");
@@ -364,10 +347,16 @@ class Parser {
       }
       auto [rc, rk] = parse_loop_affine("guard");
       // Normalize to coeffs . x + constant >= 0.
-      guard_coeffs_ = ge ? lc - rc : rc - lc;
-      guard_constant_ = ge ? lk - rk : rk - lk;
-      has_guard_ = true;
+      st.guard = ge ? lc - rc : rc - lc;
+      st.guard_constant = ge ? lk - rk : rk - lk;
+      st.guarded = true;
     }
+    return st;
+  }
+
+  void parse_body() {
+    expect_keyword("body");
+    body_ = parse_statement_syntax();
   }
 
   void parse_step() {
@@ -409,7 +398,7 @@ class Parser {
     if (loops_.empty()) raise(ErrorKind::Validation, "no loops declared");
     if (!have_step_) raise(ErrorKind::Validation, "no step function");
     if (!have_place_) raise(ErrorKind::Validation, "no place function");
-    if (!body_expr_) raise(ErrorKind::Validation, "no body statement");
+    if (!body_) raise(ErrorKind::Validation, "no body statement");
 
     const std::size_t r = loops_.size();
     std::vector<Stream> streams;
@@ -424,32 +413,7 @@ class Parser {
                                      : StreamAccess::Read);
     }
 
-    // Semantic checks on the body statement.
-    auto has_stream = [&](const std::string& v) {
-      for (const ParsedStream& ps : streams_) {
-        if (ps.name == v) return true;
-      }
-      return false;
-    };
-    if (!has_stream(body_target_)) {
-      raise(ErrorKind::Validation,
-            "body assigns to '" + body_target_ + "', which is not a stream");
-    }
-    std::vector<std::string> used;
-    body_expr_->collect_vars(used);
-    for (const std::string& v : used) {
-      if (!has_stream(v)) {
-        raise(ErrorKind::Validation,
-              "body uses '" + v + "', which is not a stream");
-      }
-    }
-
-    std::string target = body_target_;
-    std::shared_ptr<StmtExpr> expr = body_expr_;
-    StatementBody body = [target, expr](std::map<std::string, Value>& vals) {
-      vals.at(target) = expr->eval(vals);
-    };
-    std::string body_text = body_target_ + " := " + body_expr_->render();
+    Statement body = resolve_statement(*body_, streams);
 
     IntMatrix place(place_rows_.size(), r);
     for (std::size_t i = 0; i < place_rows_.size(); ++i) {
@@ -457,17 +421,7 @@ class Parser {
     }
 
     LoopNest nest(name_, loops_, std::move(streams), sizes_, assumptions_,
-                  std::move(body), body_text);
-    if (has_guard_) {
-      IntVec gc = guard_coeffs_;
-      Int gk = guard_constant_;
-      nest.set_indexed_body(
-          [target, expr, gc, gk](const IntVec& x,
-                                 std::map<std::string, Value>& vals) {
-            if (gc.dot(x) + gk >= 0) vals.at(target) = expr->eval(vals);
-          },
-          body_text + " when <guard>");
-    }
+                  std::move(body));
     ArraySpec spec(StepFunction(step_), PlaceFunction(std::move(place)),
                    loading_);
     return Design{std::move(nest), std::move(spec),
@@ -483,15 +437,11 @@ class Parser {
   std::vector<LoopSpec> loops_;
   std::vector<ParsedStream> streams_;
   std::map<std::string, std::vector<IntVec>> index_rows_;
-  std::string body_target_;
-  std::shared_ptr<StmtExpr> body_expr_;
+  std::optional<StatementSyntax> body_;
   IntVec step_;
   bool have_step_ = false;
   std::vector<IntVec> place_rows_;
   bool have_place_ = false;
-  bool has_guard_ = false;
-  IntVec guard_coeffs_;
-  Int guard_constant_ = 0;
   std::map<std::string, IntVec> loading_;
 };
 
@@ -499,6 +449,12 @@ class Parser {
 
 Design parse_design(const std::string& source) {
   return Parser(source).parse();
+}
+
+Statement parse_statement(const std::string& text,
+                          const std::vector<Stream>& streams,
+                          const std::vector<LoopSpec>& loops) {
+  return Parser(text).statement(loops, streams);
 }
 
 }  // namespace systolize::frontend

@@ -39,29 +39,6 @@ std::string size_expr_to_sa(const AffineExpr& e) {
   return os.str();
 }
 
-/// Linear combination of the loop indices (no constant term) from a
-/// coefficient vector, e.g. "i - k" or "2*i + j".
-std::string lin_to_sa(const IntVec& coeffs,
-                      const std::vector<LoopSpec>& loops) {
-  std::ostringstream os;
-  bool first = true;
-  for (std::size_t i = 0; i < coeffs.dim(); ++i) {
-    const Int c = coeffs[i];
-    if (c == 0) continue;
-    if (first) {
-      if (c < 0) os << '-';
-    } else {
-      os << (c < 0 ? " - " : " + ");
-    }
-    const Int mag = c < 0 ? -c : c;
-    if (mag != 1) os << mag << '*';
-    os << loops[i].index_name;
-    first = false;
-  }
-  if (first) os << '0';
-  return os.str();
-}
-
 /// Recover `sym >= bound` from the size-assumption guard; the format can
 /// only express that shape.
 Int lower_bound_of(const Symbol& s, const Guard& assumptions) {
@@ -81,7 +58,7 @@ Int lower_bound_of(const Symbol& s, const Guard& assumptions) {
 }  // namespace
 
 std::string lin_expr_text(const IntVec& coeffs, const LoopNest& nest) {
-  return lin_to_sa(coeffs, nest.loops());
+  return loop_affine_text(coeffs, 0, nest.loops());
 }
 
 std::string place_text(const IntMatrix& m, const LoopNest& nest) {
@@ -89,7 +66,7 @@ std::string place_text(const IntMatrix& m, const LoopNest& nest) {
   os << '(';
   for (std::size_t row = 0; row < m.rows(); ++row) {
     if (row > 0) os << ", ";
-    os << lin_to_sa(m.row(row), nest.loops());
+    os << loop_affine_text(m.row(row), 0, nest.loops());
   }
   os << ')';
   return os.str();
@@ -97,11 +74,6 @@ std::string place_text(const IntMatrix& m, const LoopNest& nest) {
 
 std::string render_design(const LoopNest& nest, const ArraySpec& spec,
                           const std::string& comment) {
-  if (nest.body_text().find(" when ") != std::string::npos) {
-    raise(ErrorKind::Validation,
-          "cannot export a guarded body to .sa: the guard's source text "
-          "is not recoverable from the parsed closure");
-  }
   // Size assumptions beyond one lower bound per symbol are inexpressible;
   // verify nothing else lurks in the guard.
   for (const Constraint& c : nest.size_assumptions().constraints()) {
@@ -142,7 +114,7 @@ std::string render_design(const LoopNest& nest, const ArraySpec& spec,
     os << "stream " << s.name() << '[';
     for (std::size_t row = 0; row < s.index_map().rows(); ++row) {
       if (row > 0) os << ',';
-      os << lin_to_sa(s.index_map().row(row), loops);
+      os << loop_affine_text(s.index_map().row(row), 0, loops);
     }
     os << "] " << (s.access() == StreamAccess::Update ? "update" : "read")
        << " dims [";
@@ -155,12 +127,12 @@ std::string render_design(const LoopNest& nest, const ArraySpec& spec,
   }
 
   os << "body " << nest.body_text() << "\n";
-  os << "step " << lin_to_sa(spec.step().coeffs(), loops) << "\n";
+  os << "step " << loop_affine_text(spec.step().coeffs(), 0, loops) << "\n";
 
   os << "place (";
   for (std::size_t row = 0; row < spec.place().matrix().rows(); ++row) {
     if (row > 0) os << ", ";
-    os << lin_to_sa(spec.place().matrix().row(row), loops);
+    os << loop_affine_text(spec.place().matrix().row(row), 0, loops);
   }
   os << ")\n";
 

@@ -10,11 +10,9 @@
 
 namespace systolize::frontend {
 
-/// Render as `.sa` source. Throws Error(Validation) for designs the
-/// format cannot express: non-integer bound coefficients, size
-/// assumptions other than `sym >= const`, or guarded (`when`) bodies —
-/// the parser erases a guard's text into the opaque closure, so it
-/// cannot be reprinted.
+/// Render as `.sa` source, guarded (`when`) bodies included. Throws
+/// Error(Validation) for designs the format cannot express: non-integer
+/// bound coefficients or size assumptions other than `sym >= const`.
 [[nodiscard]] std::string render_design(const LoopNest& nest,
                                         const ArraySpec& spec,
                                         const std::string& comment = "");

@@ -83,8 +83,7 @@ struct FuzzSample {
   std::map<std::string, Int> probe;  ///< concrete sizes the oracle runs at
 };
 
-/// Render as `.sa` source (guards included — unlike render_design, which
-/// cannot reprint a parsed guard's closure). parse_design() of the result
+/// Render as `.sa` source, guard included. parse_design() of the result
 /// is the authoritative meaning of the sample.
 [[nodiscard]] std::string to_sa(const FuzzSample& sample);
 

@@ -4,25 +4,54 @@ namespace systolize {
 
 LoopNest::LoopNest(std::string name, std::vector<LoopSpec> loops,
                    std::vector<Stream> streams, std::vector<Symbol> sizes,
-                   Guard size_assumptions, StatementBody body,
-                   std::string body_text)
+                   Guard size_assumptions, Statement body)
     : name_(std::move(name)),
       loops_(std::move(loops)),
       streams_(std::move(streams)),
       sizes_(std::move(sizes)),
       size_assumptions_(std::move(size_assumptions)),
-      body_text_(std::move(body_text)) {
-  if (body) {
-    body_ = [plain = std::move(body)](const IntVec&,
-                                      std::map<std::string, Value>& vals) {
-      plain(vals);
-    };
+      body_(std::move(body)) {
+  if (body_.slot_count() > streams_.size() ||
+      (body_.guarded() && body_.guard().dim() != loops_.size())) {
+    raise(ErrorKind::Validation, "the basic statement of '" + name_ +
+                                     "' does not fit its streams and loops");
   }
 }
 
-void LoopNest::set_indexed_body(IndexedBody body, std::string body_text) {
-  body_ = std::move(body);
-  body_text_ = std::move(body_text);
+std::string loop_affine_text(const IntVec& coeffs, Int constant,
+                             const std::vector<LoopSpec>& loops) {
+  std::string out;
+  auto term = [&out](Int c, const std::string& index) {
+    if (c == 0) return;
+    if (out.empty()) {
+      if (c < 0) out += '-';
+    } else {
+      out += c < 0 ? " - " : " + ";
+    }
+    const std::string mag = std::to_string(c).substr(c < 0);  // |c|
+    if (index.empty()) {
+      out += mag;
+    } else {
+      if (mag != "1") out += mag + "*";
+      out += index;
+    }
+  };
+  for (std::size_t i = 0; i < coeffs.dim(); ++i) {
+    term(coeffs[i], loops.at(i).index_name);
+  }
+  term(constant, "");
+  return out.empty() ? "0" : out;
+}
+
+std::string LoopNest::body_text() const {
+  std::vector<std::string> slot_names;
+  slot_names.reserve(streams_.size());
+  for (const Stream& s : streams_) slot_names.push_back(s.name());
+  std::string text = body_.text(slot_names);
+  if (!body_.guarded()) return text;
+  return text + " when " +
+         loop_affine_text(body_.guard(), body_.guard_constant(), loops_) +
+         " >= 0";
 }
 
 const Stream& LoopNest::stream(const std::string& name) const {

@@ -3,11 +3,10 @@
 // statement that touches one element of every stream.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "loopnest/statement.hpp"
 #include "loopnest/stream.hpp"
 #include "symbolic/guard.hpp"
 
@@ -21,27 +20,17 @@ struct LoopSpec {
   Int step = 1;      ///< +1 or -1 (execution order only; lb <= rb always)
 };
 
-/// Runtime value carried by stream elements.
-using Value = std::int64_t;
-
-/// The basic statement's computation, applied to the current element value
-/// of each stream (keyed by stream name). Values for Update streams may be
-/// re-assigned. Stream elements carry no identity inside the array (paper
-/// Sect. 4.2), but the loop body is "a procedure parameterized solely by
-/// the loop indices" (Sect. 3.1): the indexed form receives the statement's
-/// index-space point, which every process reconstructs locally as
-/// first + iteration * increment — this is how the paper's guarded
-/// statements (if B_j -> S_j) are supported.
-using StatementBody = std::function<void(std::map<std::string, Value>&)>;
-using IndexedBody =
-    std::function<void(const IntVec& x, std::map<std::string, Value>&)>;
+/// coeffs . x + constant over the loop indices in .sa syntax, e.g.
+/// "i - k", "2*i + j" or "-i + j + 2"; "0" when every term vanishes.
+[[nodiscard]] std::string loop_affine_text(const IntVec& coeffs, Int constant,
+                                           const std::vector<LoopSpec>& loops);
 
 class LoopNest {
  public:
+  /// Throws Error(Validation) when `body` does not fit streams and loops.
   LoopNest(std::string name, std::vector<LoopSpec> loops,
            std::vector<Stream> streams, std::vector<Symbol> sizes,
-           Guard size_assumptions, StatementBody body,
-           std::string body_text = "");
+           Guard size_assumptions, Statement body);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   /// r — the nesting depth.
@@ -61,15 +50,15 @@ class LoopNest {
   [[nodiscard]] const Guard& size_assumptions() const noexcept {
     return size_assumptions_;
   }
-  [[nodiscard]] const IndexedBody& body() const noexcept { return body_; }
-
-  /// Replace the body with an index-aware one (guarded statements).
-  void set_indexed_body(IndexedBody body, std::string body_text);
-  /// Textual form of the basic statement's computation (for printers),
-  /// e.g. "c := c + a * b".
-  [[nodiscard]] const std::string& body_text() const noexcept {
-    return body_text_;
-  }
+  /// The basic statement, over slots in streams() order. It is "a
+  /// procedure parameterized solely by the loop indices" (Sect. 3.1):
+  /// apply() takes the statement's index-space point, which every process
+  /// reconstructs locally as first + iteration * increment, so guarded
+  /// statements (if B_j -> S_j) run on every engine.
+  [[nodiscard]] const Statement& body() const noexcept { return body_; }
+  /// The basic statement in .sa syntax (for printers), e.g.
+  /// "c := c + a * b when i - j >= 0"; empty when there is no body.
+  [[nodiscard]] std::string body_text() const;
 
   /// Evaluated loop bounds at a concrete problem size: (lb_i, rb_i) pairs.
   [[nodiscard]] std::vector<std::pair<Int, Int>> concrete_bounds(
@@ -89,8 +78,7 @@ class LoopNest {
   std::vector<Stream> streams_;
   std::vector<Symbol> sizes_;
   Guard size_assumptions_;
-  IndexedBody body_;
-  std::string body_text_;
+  Statement body_;
 };
 
 }  // namespace systolize

@@ -84,7 +84,7 @@ void validate_source(const LoopNest& nest) {
     }
   }
 
-  if (!nest.body()) {
+  if (nest.body().empty()) {
     raise(ErrorKind::Validation, "source program has no basic statement body");
   }
 }

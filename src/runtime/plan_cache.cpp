@@ -38,13 +38,26 @@ std::string point_name(const std::string& prefix, const IntVec& y) {
 
 // ----------------------------------------------------------- plan build
 
+const Statement& plan_statement(const CompiledProgram& program,
+                                const LoopNest& nest) {
+  const auto same_name = [](const Stream& s, const StreamPlan& p) {
+    return s.name() == p.name;
+  };
+  if (!std::equal(nest.streams().begin(), nest.streams().end(),
+                  program.streams.begin(), program.streams.end(), same_name)) {
+    raise(ErrorKind::Validation, "program '" + program.name + "' and nest '" +
+                                     nest.name() + "' order streams apart");
+  }
+  return nest.body();
+}
+
 std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
                                         const LoopNest& nest,
                                         const Env& sizes,
                                         const PlanShape& shape) {
   auto plan_ptr = std::make_unique<NetworkPlan>();
   NetworkPlan& plan = *plan_ptr;
-  plan.body = nest.body();
+  plan.body = plan_statement(program, nest);
   plan.increment = program.repeater.increment;
 
   const IntVec ps_min = program.ps.min.evaluate(sizes);
@@ -665,14 +678,13 @@ Task plan_comp_body(Ctx ctx, const NetworkPlan* plan, std::uint32_t pi,
                     Channel* const* chans, Trace* trace) {
   const NetworkPlan::ProcSpec& spec = plan->procs[pi];
   const std::size_t nroles = spec.role_end - spec.role_begin;
-  // The basic statement still consumes its operands as a name->value map
-  // (the IndexedBody interface); bind one stable slot per stream up
-  // front so the communication ops never look names up again.
-  std::map<std::string, Value> vals;
+  // The statement's operands, one per stream id (the Statement's slot
+  // order); each role's communication ops read and write its stream's.
+  std::vector<Value> vals(plan->streams.size());
   std::vector<Value*> slot(nroles);
   for (std::size_t i = 0; i < nroles; ++i) {
     const NetworkPlan::RoleSpec& role = plan->roles[spec.role_begin + i];
-    slot[i] = &vals[plan->streams[role.stream]];
+    slot[i] = &vals[role.stream];
   }
   auto role_at = [plan, &spec](std::size_t i) -> const NetworkPlan::RoleSpec& {
     return plan->roles[spec.role_begin + i];
@@ -723,7 +735,7 @@ Task plan_comp_body(Ctx ctx, const NetworkPlan* plan, std::uint32_t pi,
   IntVec x = spec.first_x;
   for (Int iter = 0; iter < spec.count; ++iter) {
     if (!recvs.empty()) co_await ctx.par(recvs.data(), recvs.size());
-    plan->body(x, vals);
+    plan->body.apply(x, vals.data());
     ctx.tick_statement();
     if (trace != nullptr) {
       trace->statements.push_back(

@@ -104,7 +104,7 @@ struct NetworkPlan {
   std::vector<RoleSpec> roles;
   std::vector<IntVec> elems;          ///< flat pipe-element identities
   IntVec increment;                   ///< repeater chord increment
-  IndexedBody body;                   ///< the loop-nest basic statement
+  Statement body;                     ///< the loop-nest basic statement
   std::size_t clock_count = 0;        ///< shared clocks (partitioning)
   std::size_t comp_count = 0;
   std::size_t io_count = 0;
@@ -126,6 +126,12 @@ struct NetworkPlan {
 [[nodiscard]] std::unique_ptr<NetworkPlan> build_plan(
     const CompiledProgram& program, const LoopNest& nest, const Env& sizes,
     const PlanShape& shape);
+
+/// The nest's statement, for a plan of `program`: its slots are the nest's
+/// stream positions and a plan's stream ids the program's, so the two
+/// orders must agree (Error(Validation) otherwise).
+[[nodiscard]] const Statement& plan_statement(const CompiledProgram& program,
+                                              const LoopNest& nest);
 
 struct PlanTemplate;    // runtime/plan_template.hpp
 struct BytecodeProgram; // runtime/bytecode.hpp

@@ -186,7 +186,7 @@ std::shared_ptr<const PlanTemplate> compile_template(
   tmpl->depth = program.depth;
   tmpl->shape = shape;
   tmpl->ncoords = program.coords.size();
-  tmpl->body = nest.body();
+  tmpl->body = plan_statement(program, nest);
   tmpl->increment = program.repeater.increment;
 
   Lowerer lo{program.assumptions, program.coords.size(), {}, {}};

@@ -121,7 +121,7 @@ struct PlanTemplate {
   std::size_t ncoords = 0;
   std::vector<std::string> size_symbols;
 
-  IndexedBody body;   ///< the loop-nest basic statement
+  Statement body;     ///< the loop-nest basic statement
   IntVec increment;   ///< computation repeater chord increment
   std::vector<LinForm> ps_min;  ///< PS box faces (coord-free forms)
   std::vector<LinForm> ps_max;

@@ -75,10 +75,7 @@ class Vm {
       const BytecodeProgram::CompMeta& meta = prog.comps[i];
       CompScratch& cs = comps_[i];
       cs.x = meta.first_x;
-      cs.slots.reserve(meta.slot_reg.size());
-      for (std::uint32_t s : meta.slot_stream) {
-        cs.slots.push_back(&cs.vals[plan.streams[s]]);
-      }
+      cs.vals.assign(plan.streams.size(), 0);
     }
   }
 
@@ -136,9 +133,8 @@ class Vm {
 
  private:
   struct CompScratch {
-    IntVec x;  ///< current statement point of the repeater chord
-    std::map<std::string, Value> vals;
-    std::vector<Value*> slots;  ///< into vals, aligned with slot_reg
+    IntVec x;                 ///< current statement point of the chord
+    std::vector<Value> vals;  ///< the statement's slots, by stream id
   };
 
   void make_ready(std::uint32_t pid) {
@@ -399,15 +395,16 @@ dispatch:
     const BytecodeProgram::CompMeta& meta =
         prog_.comps[static_cast<std::size_t>(insn->a)];
     const std::size_t nslots = meta.slot_reg.size();
+    Value* vals = cs.vals.data();
     for (std::size_t k = 0; k < nlanes_; ++k) {
       for (std::size_t i = 0; i < nslots; ++i) {
-        *cs.slots[i] =
+        vals[meta.slot_stream[i]] =
             regs_[static_cast<std::size_t>(meta.slot_reg[i]) * nlanes_ + k];
       }
-      plan_.body(cs.x, cs.vals);
+      plan_.body.apply(cs.x, vals);
       for (std::size_t i = 0; i < nslots; ++i) {
         regs_[static_cast<std::size_t>(meta.slot_reg[i]) * nlanes_ + k] =
-            *cs.slots[i];
+            vals[meta.slot_stream[i]];
       }
     }
     // tick_statement: the basic statement advances the clock by one.

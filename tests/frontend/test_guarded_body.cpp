@@ -31,15 +31,37 @@ place (i)
 load a = (1)
 )";
 
+/// Whether `body` (over kMasked's streams and loops i, j) executes at
+/// (i, j): c moves off 0 exactly when it does.
+bool executes_at(const std::string& body, Int i, Int j) {
+  Design d = parse_design(kMasked);
+  Statement st = parse_statement(body, d.nest.streams(), d.nest.loops());
+  Value slots[] = {1, 1, 0};  // a, b, c
+  st.apply(IntVec{i, j}, slots);
+  return slots[2] != 0;
+}
+
 TEST(GuardedBody, GuardEvaluatesPerIndex) {
   Design d = parse_design(kMasked);
-  std::map<std::string, Value> vals{{"a", 3}, {"b", 5}, {"c", 100}};
-  d.nest.body()(IntVec{2, 1}, vals);  // i >= j: executes
-  EXPECT_EQ(vals.at("c"), 115);
-  d.nest.body()(IntVec{1, 2}, vals);  // i < j: masked out
-  EXPECT_EQ(vals.at("c"), 115);
-  d.nest.body()(IntVec{2, 2}, vals);  // boundary: >= includes equality
-  EXPECT_EQ(vals.at("c"), 130);
+  Value slots[] = {3, 5, 100};  // a, b, c in stream order
+  d.nest.body().apply(IntVec{2, 1}, slots);  // i >= j: executes
+  EXPECT_EQ(slots[2], 115);
+  d.nest.body().apply(IntVec{1, 2}, slots);  // i < j: masked out
+  EXPECT_EQ(slots[2], 115);
+  d.nest.body().apply(IntVec{2, 2}, slots);  // boundary: >= includes equality
+  EXPECT_EQ(slots[2], 130);
+
+  // Both comparison forms include their boundary, with constants and
+  // coefficients on either side.
+  const std::string body = "c := c + a * b when ";
+  EXPECT_TRUE(executes_at(body + "2*i >= j + 3", 2, 1));   // 4 >= 4
+  EXPECT_FALSE(executes_at(body + "2*i >= j + 3", 2, 2));  // 4 >= 5
+  EXPECT_TRUE(executes_at(body + "i <= j + 2", 3, 1));     // 3 <= 3
+  EXPECT_FALSE(executes_at(body + "i <= j + 2", 4, 1));    // 4 <= 3
+  EXPECT_TRUE(executes_at(body + "1 - i <= -j", 2, 1));    // -1 <= -1
+  EXPECT_FALSE(executes_at(body + "1 - i <= -j", 1, 1));   // 0 <= -1
+  EXPECT_TRUE(executes_at(body + "0 >= 0", 5, 7));
+  EXPECT_FALSE(executes_at(body + "j >= 1", 0, 0));
 }
 
 TEST(GuardedBody, SequentialSemanticsAreTriangular) {
@@ -92,11 +114,11 @@ step 2*i + j
 place (i)
 load a = (1)
 )");
-  std::map<std::string, Value> vals{{"a", 1}, {"b", 1}, {"c", 0}};
-  d.nest.body()(IntVec{3, 2}, vals);  // i-j = 1 <= 1: executes
-  EXPECT_EQ(vals.at("c"), 1);
-  d.nest.body()(IntVec{3, 1}, vals);  // i-j = 2 > 1: masked
-  EXPECT_EQ(vals.at("c"), 1);
+  Value slots[] = {1, 1, 0};  // a, b, c
+  d.nest.body().apply(IntVec{3, 2}, slots);  // i-j = 1 <= 1: executes
+  EXPECT_EQ(slots[2], 1);
+  d.nest.body().apply(IntVec{3, 1}, slots);  // i-j = 2 > 1: masked
+  EXPECT_EQ(slots[2], 1);
 }
 
 TEST(GuardedBody, ShippedMaskedDesignFileWorksEndToEnd) {

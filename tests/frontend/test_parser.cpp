@@ -25,6 +25,16 @@ place (i)
 load a = (1)
 )";
 
+/// c after applying `body` (over polyprod1's streams) to a = 3, b = 4,
+/// c = 10.
+Value eval_c(const std::string& body) {
+  Design d = parse_design(kPolyprod1);
+  Statement st = parse_statement(body, d.nest.streams(), d.nest.loops());
+  Value slots[] = {3, 4, 10};
+  st.apply(IntVec{0, 0}, slots);
+  return slots[2];
+}
+
 TEST(Parser, ParsesPolyprodDesign) {
   Design d = parse_design(kPolyprod1);
   EXPECT_EQ(d.nest.name(), "polyprod1");
@@ -113,9 +123,51 @@ step 2*i + j
 place (i)
 load a = (1)
 )");
-  std::map<std::string, Value> vals{{"a", 3}, {"b", 4}, {"c", 10}};
-  d.nest.body()(IntVec{0, 0}, vals);
-  EXPECT_EQ(vals.at("c"), 10 + 2 * 3 * 4 - 3 + 1);
+  Value slots[] = {3, 4, 10};  // a, b, c in stream order
+  d.nest.body().apply(IntVec{0, 0}, slots);
+  EXPECT_EQ(slots[2], 10 + 2 * 3 * 4 - 3 + 1);
+  EXPECT_EQ(slots[0], 3);  // only the target is written
+  EXPECT_EQ(slots[1], 4);
+
+  // Every engine and the baseline run this same apply(), so the expected
+  // values here come from C++ arithmetic, not from another evaluator.
+  const Value a = 3;
+  const Value b = 4;
+  const Value c = 10;
+  // Precedence: * binds tighter than + and -.
+  EXPECT_EQ(eval_c("c := c + a * b"), c + a * b);
+  EXPECT_EQ(eval_c("c := a * b - c"), a * b - c);
+  EXPECT_EQ(eval_c("c := (c + a) * b"), (c + a) * b);
+  // - associates to the left.
+  EXPECT_EQ(eval_c("c := c - a - b"), (c - a) - b);
+  EXPECT_EQ(eval_c("c := c - (a - b)"), c - (a - b));
+  // Unary minus negates the next factor only.
+  EXPECT_EQ(eval_c("c := -a * b"), (-a) * b);
+  EXPECT_EQ(eval_c("c := c - -a"), c + a);
+  EXPECT_EQ(eval_c("c := -(c - a) * -b"), -(c - a) * -b);
+  // Nested parentheses.
+  EXPECT_EQ(eval_c("c := ((c - (a * (b + 1))) * 2)"), (c - a * (b + 1)) * 2);
+  // Constants.
+  EXPECT_EQ(eval_c("c := 7"), 7);
+  EXPECT_EQ(eval_c("c := 2 * c - 3 * a + 100"), 2 * c - 3 * a + 100);
+  EXPECT_EQ(eval_c("c := c * 0 - 5"), -5);
+}
+
+TEST(Parser, BodyDeeperThanTheOperandStackIsRefused) {
+  // Evaluation uses a fixed operand stack, so a right-nested body that
+  // would overflow it is refused at parse time, not run.
+  Design d = parse_design(kPolyprod1);
+  std::string rhs = "a";
+  for (int i = 0; i < 40; ++i) rhs = "a + (" + rhs + ")";
+  try {
+    (void)parse_statement("c := " + rhs, d.nest.streams(), d.nest.loops());
+    FAIL() << "expected a Validation error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Validation) << e.what();
+    EXPECT_NE(std::string(e.what()).find("pending operands"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Parser, NegativeLoopStepWithBy) {

@@ -1,6 +1,9 @@
-// The shipped .sa files must compile to programs equivalent to the C++
-// catalog designs: same derived quantities at every process of every
-// instantiated array, and identical execution results.
+// The catalog is designs/<name>.sa, embedded into the library at build
+// time (src/CMakeLists.txt). These tests re-read each shipped file and
+// check that its catalog entry is that file: same statement, same derived
+// quantities at every process of every instantiated array, and identical
+// execution results. A stale embedding or a name mapped to the wrong file
+// fails them.
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
@@ -36,6 +39,7 @@ class SaFiles : public ::testing::TestWithParam<std::string> {};
 TEST_P(SaFiles, CompilesToTheSameProgramAsTheCatalog) {
   Design from_file = frontend::parse_design(read_file(GetParam()));
   Design from_catalog = design_by_name(GetParam());
+  EXPECT_EQ(from_file.nest.body(), from_catalog.nest.body());
   CompiledProgram pf = compile(from_file.nest, from_file.spec);
   CompiledProgram pc = compile(from_catalog.nest, from_catalog.spec);
 
@@ -77,7 +81,7 @@ TEST_P(SaFiles, ExecutesIdenticallyToTheCatalogDesign) {
   Design from_catalog = design_by_name(GetParam());
   CompiledProgram pf = compile(from_file.nest, from_file.spec);
   Env sizes{{"n", Rational(4)}, {"m", Rational(2)}};
-  // Parsed body and catalog body must compute the same function.
+  // The file's design and the catalog's must compute the same function.
   IndexedStore store = make_initial_store(
       from_file.nest, sizes, [](const std::string& var, const IntVec& p) {
         return static_cast<Value>(var[0] * 3 + p[0] - (p.dim() > 1 ? p[1] : 0));

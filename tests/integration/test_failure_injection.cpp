@@ -7,6 +7,7 @@
 
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
+#include "frontend/parser.hpp"
 #include "runtime/instantiate.hpp"
 #include "scheme/compiler.hpp"
 
@@ -85,23 +86,27 @@ TEST(FailureInjection, RepeaterCountMismatchIsCaught) {
   }
 }
 
-TEST(FailureInjection, ThrowingStatementBodyPropagates) {
+TEST(FailureInjection, NestWithReorderedStreamsIsRejected) {
+  // The statement's slots are the nest's stream positions and a plan's
+  // stream ids the program's: running a program with a nest that lists
+  // the same streams in another order must fail loudly, not mix operands.
   Design d = polyprod_design1();
-  LoopNest broken(
-      d.nest.name(), d.nest.loops(), d.nest.streams(), d.nest.sizes(),
+  CompiledProgram prog = compile(d.nest, d.spec);
+  std::vector<Stream> streams = d.nest.streams();
+  std::swap(streams[0], streams[1]);
+  LoopNest swapped(
+      d.nest.name(), d.nest.loops(), streams, d.nest.sizes(),
       d.nest.size_assumptions(),
-      [](std::map<std::string, Value>&) {
-        raise(ErrorKind::Validation, "statement body exploded");
-      },
-      d.nest.body_text());
-  CompiledProgram prog = compile(broken, d.spec);
+      frontend::parse_statement("c := c + a * b", streams, d.nest.loops()));
   IndexedStore store = seed(d);
   try {
-    (void)execute(prog, broken, sizes3(), store);
-    FAIL() << "expected propagated body exception";
+    (void)execute(prog, swapped, sizes3(), store);
+    FAIL() << "expected the stream orders to be refused";
   } catch (const Error& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::Validation);
-    EXPECT_NE(std::string(e.what()).find("exploded"), std::string::npos);
+    EXPECT_EQ(e.kind(), ErrorKind::Validation) << e.what();
+    EXPECT_NE(std::string(e.what()).find("order streams apart"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "designs/catalog.hpp"
+#include "frontend/parser.hpp"
 #include "support/error.hpp"
 
 namespace systolize {
@@ -33,15 +34,16 @@ TEST(LoopNest, NegativeStepEnumeratesDownward) {
   Symbol n = size_symbol("n");
   Guard g;
   g.add(Constraint{AffineExpr(1), AffineExpr(n)});
-  LoopNest nest(
-      "rev",
-      {LoopSpec{"i", AffineExpr(0), AffineExpr(n), 1},
-       LoopSpec{"j", AffineExpr(0), AffineExpr(n), -1}},
-      {Stream("a", IntMatrix{{1, 0}}, {VarDim{AffineExpr(0), AffineExpr(n)}},
-              StreamAccess::Update),
-       Stream("b", IntMatrix{{0, 1}}, {VarDim{AffineExpr(0), AffineExpr(n)}},
-              StreamAccess::Read)},
-      {n}, g, [](std::map<std::string, Value>& v) { v.at("a") += v.at("b"); });
+  std::vector<LoopSpec> loops = {
+      LoopSpec{"i", AffineExpr(0), AffineExpr(n), 1},
+      LoopSpec{"j", AffineExpr(0), AffineExpr(n), -1}};
+  std::vector<Stream> streams = {
+      Stream("a", IntMatrix{{1, 0}}, {VarDim{AffineExpr(0), AffineExpr(n)}},
+             StreamAccess::Update),
+      Stream("b", IntMatrix{{0, 1}}, {VarDim{AffineExpr(0), AffineExpr(n)}},
+             StreamAccess::Read)};
+  Statement body = frontend::parse_statement("a := a + b", streams, loops);
+  LoopNest nest("rev", loops, streams, {n}, g, body);
   auto points = nest.enumerate_index_space(Env{{"n", Rational(1)}});
   ASSERT_EQ(points.size(), 4u);
   // j runs from its right bound down to its left bound.
@@ -61,7 +63,7 @@ TEST(LoopNest, EmptyRangeThrows) {
   LoopNest nest("bad",
                 {LoopSpec{"i", AffineExpr(n), AffineExpr(0), 1},
                  LoopSpec{"j", AffineExpr(0), AffineExpr(n), 1}},
-                {}, {n}, Guard{}, nullptr);
+                {}, {n}, Guard{}, Statement());
   EXPECT_THROW((void)nest.enumerate_index_space(Env{{"n", Rational(2)}}),
                Error);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "designs/catalog.hpp"
+#include "frontend/parser.hpp"
 #include "support/error.hpp"
 
 namespace systolize {
@@ -17,15 +18,27 @@ Guard n_ge_1() {
   return g;
 }
 
-StatementBody noop_body() {
-  return [](std::map<std::string, Value>&) {};
-}
-
 Stream unit_stream(const std::string& name, IntMatrix m,
                    std::size_t var_dims) {
   std::vector<VarDim> dims(var_dims,
                            VarDim{AffineExpr(0), AffineExpr(n_sym())});
   return Stream(name, std::move(m), std::move(dims), StreamAccess::Read);
+}
+
+LoopSpec loop(const std::string& index, AffineExpr lower = AffineExpr(0),
+              AffineExpr upper = AffineExpr(n_sym()), Int step = 1) {
+  return LoopSpec{index, std::move(lower), std::move(upper), step};
+}
+
+/// A nest whose body `a := a` only reads and rewrites its first stream
+/// (no body at all when there are no streams).
+LoopNest nest_of(const std::string& name, std::vector<LoopSpec> loops,
+                 std::vector<Stream> streams) {
+  Statement body = streams.empty()
+                       ? Statement()
+                       : frontend::parse_statement("a := a", streams, loops);
+  return LoopNest(name, std::move(loops), std::move(streams), {n_sym()},
+                  n_ge_1(), std::move(body));
 }
 
 void expect_invalid(const LoopNest& nest, const std::string& fragment) {
@@ -46,95 +59,70 @@ TEST(SourceValidation, CatalogDesignsAllValidate) {
 }
 
 TEST(SourceValidation, SingleLoopRejected) {
-  LoopNest nest("one", {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {}, {n_sym()}, n_ge_1(), noop_body());
+  LoopNest nest = nest_of("one", {loop("i")}, {});
   expect_invalid(nest, "at least two loops");
 }
 
 TEST(SourceValidation, NonUnitStepRejected) {
-  LoopNest nest("st",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 2},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {unit_stream("a", IntMatrix{{1, 0}}, 1)}, {n_sym()}, n_ge_1(),
-                noop_body());
+  LoopNest nest = nest_of(
+      "st", {loop("i", AffineExpr(0), AffineExpr(n_sym()), 2), loop("j")},
+      {unit_stream("a", IntMatrix{{1, 0}}, 1)});
   expect_invalid(nest, "step");
 }
 
 TEST(SourceValidation, BoundsNotImpliedBySizeAssumptionsRejected) {
   // Loop i = n .. 0 is empty for n >= 1 — lb <= rb is violated.
-  LoopNest nest("rev",
-                {LoopSpec{"i", AffineExpr(n_sym()), AffineExpr(0), 1},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {unit_stream("a", IntMatrix{{1, 0}}, 1)}, {n_sym()}, n_ge_1(),
-                noop_body());
+  LoopNest nest =
+      nest_of("rev", {loop("i", AffineExpr(n_sym()), AffineExpr(0)), loop("j")},
+              {unit_stream("a", IntMatrix{{1, 0}}, 1)});
   expect_invalid(nest, "lb <= rb");
 }
 
 TEST(SourceValidation, DuplicateLoopIndexRejected) {
-  LoopNest nest("dup",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {unit_stream("a", IntMatrix{{1, 0}}, 1)}, {n_sym()}, n_ge_1(),
-                noop_body());
+  LoopNest nest = nest_of("dup", {loop("i"), loop("i")},
+                          {unit_stream("a", IntMatrix{{1, 0}}, 1)});
   expect_invalid(nest, "duplicate loop index");
 }
 
 TEST(SourceValidation, NoStreamsRejected) {
-  LoopNest nest("none",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {}, {n_sym()}, n_ge_1(), noop_body());
+  LoopNest nest = nest_of("none", {loop("i"), loop("j")}, {});
   expect_invalid(nest, "no streams");
 }
 
 TEST(SourceValidation, DuplicateStreamNamesRejected) {
-  LoopNest nest("dup",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {unit_stream("a", IntMatrix{{1, 0}}, 1),
-                 unit_stream("a", IntMatrix{{0, 1}}, 1)},
-                {n_sym()}, n_ge_1(), noop_body());
+  LoopNest nest = nest_of("dup", {loop("i"), loop("j")},
+                          {unit_stream("a", IntMatrix{{1, 0}}, 1),
+                           unit_stream("a", IntMatrix{{0, 1}}, 1)});
   expect_invalid(nest, "duplicate stream name");
 }
 
 TEST(SourceValidation, IndexMapWrongShapeRejected) {
   // r = 3 but a 1 x 3 index map: the variable is not (r-1)-dimensional.
-  LoopNest nest("shape",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"k", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {unit_stream("a", IntMatrix{{1, 0, 0}}, 1)}, {n_sym()},
-                n_ge_1(), noop_body());
+  LoopNest nest = nest_of("shape", {loop("i"), loop("j"), loop("k")},
+                          {unit_stream("a", IntMatrix{{1, 0, 0}}, 1)});
   expect_invalid(nest, "(r-1) x r");
 }
 
 TEST(SourceValidation, RankDeficientIndexMapRejected) {
   // a[i, 2i] has rank 1 < r-1 = 2: full pipelining violated.
-  LoopNest nest("rank",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"k", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {unit_stream("a", IntMatrix{{1, 0, 0}, {2, 0, 0}}, 2)},
-                {n_sym()}, n_ge_1(), noop_body());
+  LoopNest nest =
+      nest_of("rank", {loop("i"), loop("j"), loop("k")},
+              {unit_stream("a", IntMatrix{{1, 0, 0}, {2, 0, 0}}, 2)});
   expect_invalid(nest, "rank");
 }
 
 TEST(SourceValidation, CoordSymbolInBoundsRejected) {
-  Symbol col = coord_symbol("col");
-  LoopNest nest("coord",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(col), 1},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1}},
-                {unit_stream("a", IntMatrix{{1, 0}}, 1)}, {n_sym()}, n_ge_1(),
-                noop_body());
+  LoopNest nest = nest_of(
+      "coord", {loop("i", AffineExpr(0), AffineExpr(coord_symbol("col"))),
+                loop("j")},
+      {unit_stream("a", IntMatrix{{1, 0}}, 1)});
   expect_invalid(nest, "problem-size symbols");
 }
 
 TEST(SourceValidation, MissingBodyRejected) {
-  LoopNest nest("nobody",
-                {LoopSpec{"i", AffineExpr(0), AffineExpr(n_sym()), 1},
-                 LoopSpec{"j", AffineExpr(0), AffineExpr(n_sym()), 1}},
+  LoopNest nest("nobody", {loop("i"), loop("j")},
                 {unit_stream("a", IntMatrix{{1, 0}}, 1)}, {n_sym()}, n_ge_1(),
-                nullptr);
+                Statement());
   expect_invalid(nest, "basic statement body");
 }
 

@@ -58,13 +58,11 @@ LoopNest out_of_box_nest() {
   std::vector<Stream> streams{
       Stream("a", IntMatrix{{1, 1}}, box, StreamAccess::Read),
       Stream("c", IntMatrix{{1, 0}}, box, StreamAccess::Update)};
-  return LoopNest("oob",
-                  {LoopSpec{"i", AffineExpr(0), AffineExpr(n), 1},
-                   LoopSpec{"j", AffineExpr(0), AffineExpr(n), 1}},
-                  std::move(streams), {n}, g,
-                  [](std::map<std::string, Value>& v) {
-                    v.at("c") += v.at("a");
-                  });
+  std::vector<LoopSpec> loops{LoopSpec{"i", AffineExpr(0), AffineExpr(n), 1},
+                              LoopSpec{"j", AffineExpr(0), AffineExpr(n), 1}};
+  Statement body = frontend::parse_statement("c := c + a", streams, loops);
+  return LoopNest("oob", std::move(loops), std::move(streams), {n}, g,
+                  std::move(body));
 }
 
 TEST(IndexedStore, GetSetDefaultsToZero) {
@@ -295,15 +293,17 @@ TEST(Sequential, DenseBaselineMatchesPointwiseExecution) {
     IndexedStore dense = make_seeded_store(d.nest, env, 3);
     IndexedStore pointwise = dense;
     run_sequential(d.nest, env, dense);
+    const std::vector<Stream>& streams = d.nest.streams();
+    std::vector<Value> slots(streams.size());
     for (const IntVec& x : d.nest.enumerate_index_space(env)) {
-      std::map<std::string, Value> vals;
-      for (const Stream& s : d.nest.streams()) {
-        vals[s.name()] = pointwise.get(s.name(), s.element_of(x));
+      for (std::size_t i = 0; i < streams.size(); ++i) {
+        slots[i] = pointwise.get(streams[i].name(), streams[i].element_of(x));
       }
-      d.nest.body()(x, vals);
-      for (const Stream& s : d.nest.streams()) {
-        if (s.access() == StreamAccess::Update) {
-          pointwise.set(s.name(), s.element_of(x), vals.at(s.name()));
+      d.nest.body().apply(x, slots.data());
+      for (std::size_t i = 0; i < streams.size(); ++i) {
+        if (streams[i].access() == StreamAccess::Update) {
+          pointwise.set(streams[i].name(), streams[i].element_of(x),
+                        slots[i]);
         }
       }
     }

@@ -42,9 +42,8 @@ TEST(Dependence, ReversedLoopStepFlipsTheOrientation) {
   std::vector<LoopSpec> loops = base.nest.loops();
   loops[1].step = -1;
   LoopNest reversed(base.nest.name(), loops, base.nest.streams(),
-                    base.nest.sizes(), base.nest.size_assumptions(), nullptr,
-                    base.nest.body_text());
-  reversed.set_indexed_body(base.nest.body(), base.nest.body_text());
+                    base.nest.sizes(), base.nest.size_assumptions(),
+                    base.nest.body());
   EXPECT_TRUE(respects_dependences(reversed, base.spec));
 
   // But step.(i,j) = -2i + j now violates: the element chain's first

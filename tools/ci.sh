@@ -94,19 +94,22 @@ explore_out="$(mktemp -u /tmp/systolize-ci-XXXXXX.sa)"
   exit 1; }
 rm -f "${explore_out}"
 
-echo "=== bytecode differential: every design, interp vs VM vs batched ==="
+echo "=== bytecode differential: every shipped design, VM solo and batched ==="
 # The native-backend contract (docs/performance.md "Native backend &
-# batching"): on every catalog design the VM must produce bit-identical
-# results to the interpreted engine, solo and as an 8-lane SoA batch,
-# each lane verified against the sequential ground truth.
-for design in polyprod1 polyprod2 polyprod3 matmul1 matmul2 matmul3 \
-              matmul4 convolution correlation fir_bank closure; do
-  "${repo}/build/tools/systolize" run "${design}" --n=4 \
+# batching"): every shipped design (designs/*.sa — the catalog plus the
+# guarded masked_polyprod and banded_matmul, whose guards the VM lanes
+# evaluate) must match the sequential ground truth on the VM, solo and as
+# an 8-lane SoA batch with every lane checked, and must verify clean.
+for sa in "${repo}"/designs/*.sa; do
+  design="$(basename "${sa}" .sa)"
+  "${repo}/build/tools/systolize" run "${sa}" --n=4 \
     --backend=bytecode --verify | grep -q 'verify: OK' || {
     echo "bytecode run diverged from sequential for ${design}" >&2; exit 1; }
-  "${repo}/build/tools/systolize" run "${design}" --n=4 --batch=8 \
+  "${repo}/build/tools/systolize" run "${sa}" --n=4 --batch=8 \
     --verify | grep -q 'verify: OK (all 8 instances' || {
     echo "batched run diverged from sequential for ${design}" >&2; exit 1; }
+  "${repo}/build/tools/systolize" verify "${sa}" --n=4 > /dev/null || {
+    echo "${design} did not verify clean" >&2; exit 1; }
 done
 # The exhaustive schedule-level identity (makespan, transfers, rounds,
 # per-stream counts) lives in the differential suite; re-run it by name

@@ -340,11 +340,13 @@ Env sizes_of(const Design& design, const Options& opt) {
 }
 
 int cmd_list() {
-  for (const Design& d : all_designs()) {
-    std::cout << d.nest.name() << ": " << d.description << "\n";
+  const std::vector<Design> designs = all_designs();
+  const std::vector<std::string> names = catalog_names();
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    std::cout << names[i] << ": " << designs[i].description << "\n";
   }
   std::cout << "\ncatalog names:";
-  for (const std::string& name : catalog_names()) std::cout << " " << name;
+  for (const std::string& name : names) std::cout << " " << name;
   std::cout << "\n";
   return 0;
 }
@@ -618,9 +620,7 @@ int cmd_verify(const std::string& what, const Options& opt) {
   std::vector<VerifyReport> reports;
   if (what == "all") {
     // Catalog names, not nest names — several designs share a nest.
-    for (const char* name :
-         {"polyprod1", "polyprod2", "polyprod3", "matmul1", "matmul2",
-          "matmul3", "matmul4", "convolution", "correlation"}) {
+    for (const std::string& name : catalog_names()) {
       reports.push_back(verify_one(design_by_name(name), name, opt));
     }
   } else {
