@@ -143,9 +143,9 @@ BENCHMARK(BM_BatchSweep_Interp)->Arg(1)->Arg(8)->Arg(64);
 // ---------------------------------------------------------------------
 // Differential fuzzing throughput (PR10): samples generated AND driven
 // through the whole oracle — parse, compile, static verify, then both
-// engines (interp over build_plan and over templates, bytecode solo +
-// batch=3) cross-checked against the sequential baseline. items/s is oracle
-// verdicts per second; any disagreement fails the bench outright.
+// engines (interp, bytecode solo + batch=3) cross-checked against the
+// sequential baseline. items/s is oracle verdicts per second; any
+// disagreement fails the bench outright.
 
 void BM_FuzzThroughput(benchmark::State& state) {
   fuzz::GeneratorOptions gen;
@@ -166,25 +166,11 @@ void BM_FuzzThroughput(benchmark::State& state) {
 BENCHMARK(BM_FuzzThroughput);
 
 // ---------------------------------------------------------------------
-// Plan-construction microbenchmarks (PR4): the legacy one-shot symbolic
-// path (build_plan) vs the split pipeline (compile_template once, then
-// integer-only expand_template per size). BM_PlanExpand_* against
-// BM_PlanBuild_* at the same n is the headline per-size speedup;
-// BM_PlanCompileExpand_* shows the one-off template cost is amortizable.
-
-void plan_build(benchmark::State& state, const std::string& name) {
-  Design design = design_by_name(name);
-  CompiledProgram prog = compile(design.nest, design.spec);
-  Env sizes = sizes_for(design, state.range(0));
-  std::size_t procs = 0;
-  for (auto _ : state) {
-    auto plan = build_plan(prog, design.nest, sizes, PlanShape{});
-    procs = plan->procs.size();
-    benchmark::DoNotOptimize(plan);
-  }
-  state.counters["n"] = static_cast<double>(state.range(0));
-  state.counters["processes"] = static_cast<double>(procs);
-}
+// Plan-construction microbenchmarks: the integer-only
+// expand_template per size (BM_PlanExpand_*), and the whole one-plan path
+// that build_plan runs, compile_template plus one expansion
+// (BM_PlanCompileExpand_*); their difference is the one-off template cost
+// a PlanCache amortizes.
 
 void plan_expand(benchmark::State& state, const std::string& name) {
   Design design = design_by_name(name);
@@ -214,11 +200,6 @@ void plan_compile_expand(benchmark::State& state, const std::string& name) {
   state.counters["n"] = static_cast<double>(state.range(0));
 }
 
-void BM_PlanBuild_Polyprod1(benchmark::State& s) { plan_build(s, "polyprod1"); }
-void BM_PlanBuild_Matmul2(benchmark::State& s) { plan_build(s, "matmul2"); }
-void BM_PlanBuild_Convolution(benchmark::State& s) {
-  plan_build(s, "convolution");
-}
 void BM_PlanExpand_Polyprod1(benchmark::State& s) {
   plan_expand(s, "polyprod1");
 }
@@ -233,9 +214,6 @@ void BM_PlanCompileExpand_Matmul2(benchmark::State& s) {
   plan_compile_expand(s, "matmul2");
 }
 
-BENCHMARK(BM_PlanBuild_Polyprod1)->Arg(16)->Arg(64);
-BENCHMARK(BM_PlanBuild_Matmul2)->Arg(6)->Arg(10);
-BENCHMARK(BM_PlanBuild_Convolution)->Arg(16);
 BENCHMARK(BM_PlanExpand_Polyprod1)->Arg(16)->Arg(64);
 BENCHMARK(BM_PlanExpand_Matmul2)->Arg(6)->Arg(10);
 BENCHMARK(BM_PlanExpand_Convolution)->Arg(16);
@@ -245,11 +223,8 @@ BENCHMARK(BM_PlanCompileExpand_Matmul2)->Arg(6);
 /// Cold-size serving loop: every request arrives with a size the plan
 /// cache has never kept (a 1-byte budget evicts all but the newest
 /// entry, and the sweep rotates through more sizes than that), so each
-/// lookup pays the full per-size construction cost of its path —
-/// template expansion here, the symbolic derivation in the _Legacy
-/// variant. This is the ISSUE's ≥10x target pair.
-void cold_size_sweep(benchmark::State& state, const std::string& name,
-                     bool use_template) {
+/// lookup pays one template expansion on the cached template.
+void cold_size_sweep(benchmark::State& state, const std::string& name) {
   Design design = design_by_name(name);
   CompiledProgram prog = compile(design.nest, design.spec);
   std::vector<Env> sweep;
@@ -261,13 +236,8 @@ void cold_size_sweep(benchmark::State& state, const std::string& name,
   std::size_t i = 0;
   for (auto _ : state) {
     const Env& sizes = sweep[i++ % sweep.size()];
-    if (use_template) {
-      auto plan = cache.lookup_or_build(prog, design.nest, sizes, PlanShape{});
-      benchmark::DoNotOptimize(plan);
-    } else {
-      auto plan = build_plan(prog, design.nest, sizes, PlanShape{});
-      benchmark::DoNotOptimize(plan);
-    }
+    auto plan = cache.lookup_or_build(prog, design.nest, sizes, PlanShape{});
+    benchmark::DoNotOptimize(plan);
   }
   state.counters["n"] = static_cast<double>(base);
   state.counters["template_compiles"] =
@@ -276,22 +246,14 @@ void cold_size_sweep(benchmark::State& state, const std::string& name,
 }
 
 void BM_ColdSizeSweep_Polyprod1(benchmark::State& s) {
-  cold_size_sweep(s, "polyprod1", true);
-}
-void BM_ColdSizeSweep_Legacy_Polyprod1(benchmark::State& s) {
-  cold_size_sweep(s, "polyprod1", false);
+  cold_size_sweep(s, "polyprod1");
 }
 void BM_ColdSizeSweep_Matmul2(benchmark::State& s) {
-  cold_size_sweep(s, "matmul2", true);
-}
-void BM_ColdSizeSweep_Legacy_Matmul2(benchmark::State& s) {
-  cold_size_sweep(s, "matmul2", false);
+  cold_size_sweep(s, "matmul2");
 }
 
 BENCHMARK(BM_ColdSizeSweep_Polyprod1)->Arg(16);
-BENCHMARK(BM_ColdSizeSweep_Legacy_Polyprod1)->Arg(16);
 BENCHMARK(BM_ColdSizeSweep_Matmul2)->Arg(6);
-BENCHMARK(BM_ColdSizeSweep_Legacy_Matmul2)->Arg(6);
 
 /// Raw substrate throughput: rendezvous transfers per second through a
 /// long relay pipeline (sizes the simulator itself, independent of any

@@ -3,9 +3,9 @@
 // (step, place) designs sampled from the enumerate.cpp pruning pipeline,
 // driven through the full differential stack —
 //
-//   parse -> compile -> static verify -> plan/template expand -> run on
-//   both engines (the interpreter over build_plan and over a template
-//   cache, the bytecode VM solo and over --batch=N SoA lanes)
+//   parse -> compile -> static verify -> plan (template compile +
+//   expand) -> run on both engines (the interpreter, the bytecode VM solo
+//   and over --batch=N SoA lanes)
 //
 // — with every result, makespan and transfer count cross-checked against
 // the src/baseline/ sequential ground truth, and every static-verifier

@@ -29,12 +29,15 @@ namespace {
 /// differential suite: FNV-mix of the variable name and coordinates,
 /// offset per batch lane so cross-lane mixups cannot cancel out.
 Value pseudo_random(const std::string& var, const IntVec& p) {
-  Value h = 1469598103934665603LL;
-  for (char c : var) h = (h ^ c) * 1099511628211LL;
-  for (std::size_t i = 0; i < p.dim(); ++i) {
-    h = (h ^ static_cast<Value>(p[i] + 1315423911LL)) * 1099511628211LL;
+  std::uint64_t h = 1469598103934665603ULL;
+  for (char c : var) {
+    h = (h ^ static_cast<std::uint64_t>(c)) * 1099511628211ULL;
   }
-  return (h % 19) - 9;
+  for (std::size_t i = 0; i < p.dim(); ++i) {
+    h = (h ^ static_cast<std::uint64_t>(p[i] + 1315423911LL)) *
+        1099511628211ULL;
+  }
+  return static_cast<Value>(h) % 19 - 9;
 }
 
 IndexedStore seeded_lane(const LoopNest& nest, const Env& sizes, Int lane) {
@@ -200,8 +203,8 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
 
   std::string stage;
   try {
-    // Reference engine: the interpreter over the direct build_plan() path.
-    // Every other column differs from it in exactly one thing.
+    // Reference engine: the interpreter. Every other column differs from
+    // it in exactly one thing.
     stage = "interp";
     IndexedStore interp_store = seeded_lane(design.nest, sizes, 0);
     const RunMetrics ref =
@@ -228,14 +231,7 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
                    what + " rounds");
     };
 
-    // The plan builder: template expansion (compile_template +
-    // expand_template) instead of build_plan(), same engine.
-    PlanCache cache;
-    InstantiateOptions templ = interp_only();
-    templ.plan_cache = &cache;
-    check_engine("template", templ);
-
-    // The engine: the bytecode VM, solo, on the same build_plan() plan.
+    // The engine: the bytecode VM, solo, on the same plan.
     // It replicates the interpreter's round structure, so even the round
     // count must agree.
     InstantiateOptions vm;

@@ -245,11 +245,12 @@ void run_on_interp(const NetworkPlan& plan, IndexedStore& store,
 
 // Instantiation is plan-driven: the symbolic program is lowered once into
 // an interned NetworkPlan (runtime/plan_cache — dense process and channel
-// ids, flat element slices, the legacy spawn order preserved) and a
-// dispatch only stands the network up and runs it. With a PlanCache
-// attached, the symbolic derivation is compiled once per (program, shape)
-// into a PlanTemplate and each new size costs only an integer expansion;
-// repeated executions at a known size skip even that.
+// ids, flat element slices, a fixed spawn order) and a dispatch only
+// stands the network up and runs it. Without a PlanCache the plan is
+// built by build_plan() (template compile plus one expansion); with one,
+// the template is compiled once per (program, shape) and each new size
+// costs only an integer expansion; repeated executions at a known size
+// skip even that.
 RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
                    const Env& sizes, IndexedStore& store,
                    const InstantiateOptions& options) {

@@ -7,20 +7,6 @@
 
 namespace systolize {
 
-void NetworkGraph::add_node(std::string name, NodeKind kind) {
-  for (const Node& n : nodes) {
-    if (n.name == name) return;  // computation nodes appear once per stream
-  }
-  nodes.push_back(Node{std::move(name), kind});
-}
-
-void NetworkGraph::add_edge(std::string from, std::string to,
-                            std::string channel, std::string stream) {
-  edges.push_back(
-      Edge{std::move(from), std::move(to), std::move(channel),
-           std::move(stream)});
-}
-
 std::size_t NetworkGraph::count(NodeKind kind) const {
   return static_cast<std::size_t>(
       std::count_if(nodes.begin(), nodes.end(),

@@ -28,9 +28,6 @@ struct NetworkGraph {
   std::vector<Node> nodes;
   std::vector<Edge> edges;
 
-  void add_node(std::string name, NodeKind kind);
-  void add_edge(std::string from, std::string to, std::string channel,
-                std::string stream);
   [[nodiscard]] std::size_t count(NodeKind kind) const;
 };
 

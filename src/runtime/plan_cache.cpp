@@ -1,348 +1,13 @@
 #include "runtime/plan_cache.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 
 #include "runtime/bytecode.hpp"
 #include "runtime/plan_template.hpp"
 #include "runtime/scheduler.hpp"
-#include "support/error.hpp"
 
 namespace systolize {
-namespace {
-
-bool in_box(const IntVec& y, const IntVec& lo, const IntVec& hi) {
-  for (std::size_t i = 0; i < y.dim(); ++i) {
-    if (y[i] < lo[i] || y[i] > hi[i]) return false;
-  }
-  return true;
-}
-
-/// Most-upstream box point of the line through y along `dir`.
-IntVec anchor_of(const IntVec& y, const IntVec& dir, const IntVec& lo,
-                 const IntVec& hi) {
-  IntVec a = y;
-  for (;;) {
-    IntVec prev = a - dir;
-    if (!in_box(prev, lo, hi)) return a;
-    a = prev;
-  }
-}
-
-std::string point_name(const std::string& prefix, const IntVec& y) {
-  return prefix + y.to_string();
-}
-
-}  // namespace
-
-// ----------------------------------------------------------- plan build
-
-const Statement& plan_statement(const CompiledProgram& program,
-                                const LoopNest& nest) {
-  const auto same_name = [](const Stream& s, const StreamPlan& p) {
-    return s.name() == p.name;
-  };
-  if (!std::equal(nest.streams().begin(), nest.streams().end(),
-                  program.streams.begin(), program.streams.end(), same_name)) {
-    raise(ErrorKind::Validation, "program '" + program.name + "' and nest '" +
-                                     nest.name() + "' order streams apart");
-  }
-  return nest.body();
-}
-
-std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
-                                        const LoopNest& nest,
-                                        const Env& sizes,
-                                        const PlanShape& shape) {
-  auto plan_ptr = std::make_unique<NetworkPlan>();
-  NetworkPlan& plan = *plan_ptr;
-  plan.body = plan_statement(program, nest);
-  plan.increment = program.repeater.increment;
-
-  const IntVec ps_min = program.ps.min.evaluate(sizes);
-  const IntVec ps_max = program.ps.max.evaluate(sizes);
-  plan.ps_min = ps_min;
-  plan.ps_max = ps_max;
-
-  // Partitioning: map a process-space point to a dense shared-clock id
-  // (-1 when unpartitioned: every process gets its own clock). Ids are
-  // assigned in first-use order, which follows the spawn order below.
-  std::map<IntVec, std::int32_t, IntVecLess> clock_ids;
-  auto clock_for = [&](const IntVec& y) -> std::int32_t {
-    if (shape.partition_grid.dim() == 0) return -1;
-    if (shape.partition_grid.dim() != y.dim()) {
-      raise(ErrorKind::Validation,
-            "partition grid must have one entry per process-space "
-            "dimension");
-    }
-    IntVec block(y.dim());
-    for (std::size_t i = 0; i < y.dim(); ++i) {
-      Int extent = ps_max[i] - ps_min[i] + 1;
-      Int g =
-          std::max<Int>(1, std::min<Int>(shape.partition_grid[i], extent));
-      block[i] = (y[i] - ps_min[i]) * g / extent;
-    }
-    auto [it, inserted] = clock_ids.emplace(
-        block, static_cast<std::int32_t>(clock_ids.size()));
-    (void)inserted;
-    return it->second;
-  };
-
-  auto env_at = [&](const IntVec& y) {
-    Env env = sizes;
-    for (std::size_t i = 0; i < program.coords.size(); ++i) {
-      env[program.coords[i].name()] = Rational(y[i]);
-    }
-    return env;
-  };
-
-  // Enumerate the PS box.
-  std::vector<IntVec> box;
-  {
-    IntVec y = ps_min;
-    for (;;) {
-      box.push_back(y);
-      std::size_t i = y.dim();
-      bool done = true;
-      while (i > 0) {
-        --i;
-        if (++y[i] <= ps_max[i]) {
-          done = false;
-          break;
-        }
-        y[i] = ps_min[i];
-        if (i == 0) break;
-      }
-      if (done) break;
-    }
-  }
-
-  std::map<IntVec, bool, IntVecLess> in_cs;
-  for (const IntVec& y : box) {
-    in_cs[y] = program.repeater.first.covers(env_at(y));
-  }
-
-  // Ports of each computation process, per stream, filled below.
-  struct Port {
-    std::int32_t in = -1;
-    std::int32_t out = -1;
-    Int pipe_count = 0;
-  };
-  std::map<IntVec, std::map<std::string, Port>, IntVecLess> ports;
-
-  NetworkGraph& net = plan.graph;
-
-  auto add_channel = [&](std::string name, std::uint32_t stream,
-                         Int capacity) -> std::int32_t {
-    auto id = static_cast<std::int32_t>(plan.channels.size());
-    plan.channels.push_back(
-        NetworkPlan::ChannelSpec{std::move(name), stream, capacity, -1, -1});
-    return id;
-  };
-
-  for (std::uint32_t stream_id = 0; stream_id < program.streams.size();
-       ++stream_id) {
-    const StreamPlan& splan = program.streams[stream_id];
-    plan.streams.push_back(splan.name);
-
-    const IntVec& dir = splan.motion.direction;
-    const Int q = splan.motion.denominator;
-    const Int inner_buffers = shape.merge_internal_buffers ? 0 : q - 1;
-    const Int hop_capacity = shape.channel_capacity +
-                             (shape.merge_internal_buffers ? q - 1 : 0);
-
-    // Group box points into pipes by their upstream anchor.
-    std::map<IntVec, std::vector<IntVec>, IntVecLess> pipes;
-    for (const IntVec& y : box) {
-      pipes[anchor_of(y, dir, ps_min, ps_max)].push_back(y);
-    }
-    std::size_t pipe_idx = 0;
-    for (auto& [a, points] : pipes) {
-      // Order the pipe's points from the anchor downstream.
-      std::sort(points.begin(), points.end(),
-                [&dir](const IntVec& p1, const IntVec& p2) {
-                  return p1.dot(dir) < p2.dot(dir);
-                });
-      Env env = env_at(a);
-      const AffineExpr* count_expr = splan.io.count_s.select(env);
-      Int count =
-          count_expr == nullptr ? 0 : count_expr->evaluate(env).to_integer();
-
-      // Element identities in pipeline order, as one flat slice shared by
-      // the pipe's input and output processes.
-      const std::size_t elem_begin = plan.elems.size();
-      if (count > 0) {
-        const AffinePoint* first_expr = splan.io.first_s.select(env);
-        if (first_expr == nullptr) {
-          raise(ErrorKind::Inconsistent,
-                "stream '" + splan.name + "': count_s > 0 but first_s null");
-        }
-        IntVec w = first_expr->evaluate(env);
-        for (Int t = 0; t < count; ++t) {
-          plan.elems.push_back(w);
-          w += splan.io.increment_s;
-        }
-      }
-      const std::size_t elem_end = plan.elems.size();
-
-      // Channel chain: IN -> [bufs] -> y0 -> [bufs] -> y1 ... -> OUT.
-      const std::string cname =
-          splan.name + "[" + std::to_string(pipe_idx) + "]";
-      std::int32_t prev =
-          add_channel(cname + ".0", stream_id, shape.channel_capacity);
-      const std::int32_t head = prev;
-      std::size_t link = 1;
-      const std::string in_name = point_name("in:" + splan.name + ":", a);
-      net.add_node(in_name, NetworkGraph::NodeKind::Input);
-      std::string last_node = in_name;
-      auto link_node = [&](const std::string& node,
-                           NetworkGraph::NodeKind kind, std::int32_t via) {
-        net.add_node(node, kind);
-        net.add_edge(last_node, node, plan.channels[via].name, splan.name);
-        last_node = node;
-      };
-      auto add_pass = [&](std::string name, std::int32_t in,
-                          std::int32_t out, const IntVec& y) {
-        auto id = static_cast<std::int32_t>(plan.procs.size());
-        NetworkPlan::ProcSpec spec;
-        spec.name = std::move(name);
-        spec.kind = NetworkPlan::ProcKind::Pass;
-        spec.clock = clock_for(y);
-        spec.stream = stream_id;
-        spec.chan_in = in;
-        spec.chan_out = out;
-        spec.count = count;
-        spec.place = y;
-        plan.procs.push_back(std::move(spec));
-        plan.channels[in].receiver = id;
-        plan.channels[out].sender = id;
-        ++plan.buffer_count;
-      };
-      for (const IntVec& y : points) {
-        // Internal buffers in front of every process on the pipe
-        // (Sect. 7.6 and the regularity remark of D.1.6).
-        for (Int bi = 0; bi < inner_buffers; ++bi) {
-          std::int32_t next =
-              add_channel(cname + "." + std::to_string(link++), stream_id,
-                          shape.channel_capacity);
-          const std::string bname =
-              point_name("buf:" + splan.name + ":", y) + "#" +
-              std::to_string(bi);
-          link_node(bname, NetworkGraph::NodeKind::Buffer, prev);
-          add_pass(bname, prev, next, y);
-          prev = next;
-        }
-        std::int32_t next = add_channel(
-            cname + "." + std::to_string(link++), stream_id, hop_capacity);
-        if (in_cs.at(y)) {
-          ports[y][splan.name] = Port{prev, next, count};
-          link_node(point_name("comp:", y),
-                    NetworkGraph::NodeKind::Computation, prev);
-        } else {
-          // External buffer process: pass the whole pipeline (Eq. 10) —
-          // zero elements when no pipe of this stream crosses the point.
-          const std::string xname =
-              point_name("xbuf:" + splan.name + ":", y);
-          link_node(xname, NetworkGraph::NodeKind::Buffer, prev);
-          add_pass(xname, prev, next, y);
-        }
-        prev = next;
-      }
-
-      // Input and output i/o processes for this pipe.
-      {
-        auto id = static_cast<std::int32_t>(plan.procs.size());
-        NetworkPlan::ProcSpec spec;
-        spec.name = in_name;
-        spec.kind = NetworkPlan::ProcKind::Input;
-        spec.clock = clock_for(a);
-        spec.stream = stream_id;
-        spec.chan_out = head;
-        spec.count = count;
-        spec.elem_begin = elem_begin;
-        spec.elem_end = elem_end;
-        spec.place = a;
-        plan.procs.push_back(std::move(spec));
-        plan.channels[head].sender = id;
-      }
-      {
-        const std::string out_name =
-            point_name("out:" + splan.name + ":", points.back());
-        link_node(out_name, NetworkGraph::NodeKind::Output, prev);
-        auto id = static_cast<std::int32_t>(plan.procs.size());
-        NetworkPlan::ProcSpec spec;
-        spec.name = out_name;
-        spec.kind = NetworkPlan::ProcKind::Output;
-        spec.clock = clock_for(points.back());
-        spec.stream = stream_id;
-        spec.chan_in = prev;
-        spec.count = count;
-        spec.elem_begin = elem_begin;
-        spec.elem_end = elem_end;
-        spec.place = points.back();
-        plan.procs.push_back(std::move(spec));
-        plan.channels[prev].receiver = id;
-      }
-      plan.io_count += 2;
-      ++pipe_idx;
-    }
-  }
-
-  // Computation processes.
-  for (const IntVec& y : box) {
-    if (!in_cs.at(y)) continue;
-    Env env = env_at(y);
-    auto id = static_cast<std::int32_t>(plan.procs.size());
-    NetworkPlan::ProcSpec spec;
-    spec.name = point_name("comp:", y);
-    spec.kind = NetworkPlan::ProcKind::Comp;
-    spec.clock = clock_for(y);
-    spec.count =
-        program.repeater.count.select(env)->evaluate(env).to_integer();
-    spec.first_x = program.repeater.first.select(env)->evaluate(env);
-    spec.coords = y;
-    spec.place = y;
-    spec.role_begin = plan.roles.size();
-    for (std::uint32_t stream_id = 0; stream_id < program.streams.size();
-         ++stream_id) {
-      const StreamPlan& splan = program.streams[stream_id];
-      NetworkPlan::RoleSpec role;
-      role.stream = stream_id;
-      role.stationary = splan.motion.stationary;
-      const AffineExpr* soak = splan.soak.select(env);
-      const AffineExpr* drain = splan.drain.select(env);
-      if (soak == nullptr || drain == nullptr) {
-        raise(ErrorKind::Inconsistent,
-              "computation process " + y.to_string() +
-                  " lacks soak/drain for stream '" + splan.name + "'");
-      }
-      role.soak = soak->evaluate(env).to_integer();
-      role.drain = drain->evaluate(env).to_integer();
-      const Port& port = ports.at(y).at(splan.name);
-      role.chan_in = port.in;
-      role.chan_out = port.out;
-      plan.channels[port.in].receiver = id;
-      plan.channels[port.out].sender = id;
-      // Conservation law: everything that enters a process leaves it.
-      Int through = role.stationary ? role.soak + role.drain + 1
-                                    : role.soak + spec.count + role.drain;
-      if (through != port.pipe_count) {
-        raise(ErrorKind::Inconsistent,
-              "stream '" + splan.name + "' at " + y.to_string() +
-                  ": soak+uses+drain = " + std::to_string(through) +
-                  " but the pipeline carries " +
-                  std::to_string(port.pipe_count) + " elements");
-      }
-      plan.roles.push_back(std::move(role));
-    }
-    spec.role_end = plan.roles.size();
-    plan.procs.push_back(std::move(spec));
-    ++plan.comp_count;
-  }
-  plan.clock_count = clock_ids.size();
-  return plan_ptr;
-}
 
 // --------------------------------------------------------- memory_bytes
 

@@ -2,24 +2,23 @@
 // program at a concrete problem size into a dense, integer-indexed
 // NetworkPlan — the execution engine's intermediate representation.
 //
-// Instantiation used to re-derive the whole process network on every
-// execute(): re-evaluating the symbolic repeaters, regrouping the
-// process-space box into pipes, rebuilding string names and re-walking
-// `std::map<IntVec>` tables. All of that is loop-size-dependent but
-// run-independent, so it now happens once per (program, sizes, shape)
-// and is recorded as flat vectors over dense IDs:
-//   * process index — plan spawn order (== the legacy spawn order, so the
-//     scheduler's FIFO behaviour and fault-roll order are unchanged),
-//   * channel index — plan creation order, with the owning stream as an
-//     integer (no more parsing "<stream>[pipe].link" display names),
+// The process network depends on the problem size but not on the run, so
+// it is derived once per (program, sizes, shape) and recorded as flat
+// vectors over dense IDs:
+//   * process index — spawn order (the scheduler's FIFO behaviour and the
+//     fault-roll order follow it),
+//   * channel index — creation order, with the owning stream as an
+//     integer (no parsing of "<stream>[pipe].link" display names),
 //   * flat stream-element offsets — each pipe's element identities are a
 //     contiguous [elem_begin, elem_end) slice of one `elems` vector, and
 //     the run-time values travel in parallel flat Value arrays.
-// A PlanCache memoizes at two levels (see runtime/plan_template.hpp): the
-// symbolic derivation is compiled once per (program, shape) into a
-// PlanTemplate, and concrete plans are expanded from it per size vector —
-// so the serve-heavy-traffic scenario where every request brings its own
-// problem size pays one cheap integer expansion, not a re-derivation.
+// Plans are built in two stages (runtime/plan_template.hpp): the symbolic
+// derivation is compiled once per (program, shape) into a PlanTemplate,
+// and each plan is expanded from it with integer arithmetic. build_plan()
+// runs both stages for a caller that wants one plan; a PlanCache keeps
+// the template and memoizes plans per size vector, so serve traffic in
+// which every request brings its own problem size pays one integer
+// expansion, not a re-derivation.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +98,8 @@ struct NetworkPlan {
   };
 
   std::vector<std::string> streams;   ///< stream names, by stream id
-  std::vector<ChannelSpec> channels;  ///< in legacy creation order
-  std::vector<ProcSpec> procs;        ///< in legacy spawn order
+  std::vector<ChannelSpec> channels;  ///< in creation order
+  std::vector<ProcSpec> procs;        ///< in spawn order
   std::vector<RoleSpec> roles;
   std::vector<IntVec> elems;          ///< flat pipe-element identities
   IntVec increment;                   ///< repeater chord increment
@@ -117,21 +116,14 @@ struct NetworkPlan {
   [[nodiscard]] std::size_t memory_bytes() const;
 };
 
-/// Lower `program` at `sizes` into a NetworkPlan in one symbolic pass.
-/// Performs the same validation as the legacy instantiation (conservation
-/// law, partition grid arity) with identical error messages. This is the
-/// ground-truth reference for the template pipeline: expand_template()
-/// must reproduce its output bit for bit, and the cross-size differential
-/// suite (tests/runtime/test_plan_template.cpp) asserts exactly that.
+/// Lower `program` at `sizes` into a NetworkPlan: compile_template() and
+/// then expand_template() (runtime/plan_template.hpp), for a caller that
+/// builds one plan and keeps no template. Raises what expansion raises:
+/// Error(Inconsistent) when the conservation law fails, Error(Validation)
+/// on a partition grid of the wrong arity or an unbound size.
 [[nodiscard]] std::unique_ptr<NetworkPlan> build_plan(
     const CompiledProgram& program, const LoopNest& nest, const Env& sizes,
     const PlanShape& shape);
-
-/// The nest's statement, for a plan of `program`: its slots are the nest's
-/// stream positions and a plan's stream ids the program's, so the two
-/// orders must agree (Error(Validation) otherwise).
-[[nodiscard]] const Statement& plan_statement(const CompiledProgram& program,
-                                              const LoopNest& nest);
 
 struct PlanTemplate;    // runtime/plan_template.hpp
 struct BytecodeProgram; // runtime/bytecode.hpp
@@ -236,8 +228,6 @@ class PlanCache {
     std::size_t bytes = 0;
   };
 
-  void insert_plan(std::string key, std::shared_ptr<const NetworkPlan> plan,
-                   LookupStats* stats);
   /// Evict LRU entries until bytes_ <= budget_ (keeps >= 1 entry).
   /// Caller holds mu_.
   void evict_to_budget_locked();

@@ -24,9 +24,10 @@ Int LinForm::eval(const Int* vars) const {
   const Int num = eval_scaled(vars);
   if (den == 1) return num;
   if (num % den != 0) {
+    const Int g = gcd(num, den);  // report the fraction in lowest terms
     raise(ErrorKind::NotRepresentable,
           "plan template: affine form evaluates to the non-integer " +
-              std::to_string(num) + "/" + std::to_string(den));
+              std::to_string(num / g) + "/" + std::to_string(den / g));
   }
   return num / den;
 }
@@ -125,6 +126,22 @@ struct Lowerer {
     return out;
   }
 };
+
+/// The nest's statement, for a plan of `program`: its slots are the nest's
+/// stream positions and a plan's stream ids the program's, so the two
+/// orders must agree (Error(Validation) otherwise).
+const Statement& plan_statement(const CompiledProgram& program,
+                                const LoopNest& nest) {
+  const auto same_name = [](const Stream& s, const StreamPlan& p) {
+    return s.name() == p.name;
+  };
+  if (!std::equal(nest.streams().begin(), nest.streams().end(),
+                  program.streams.begin(), program.streams.end(), same_name)) {
+    raise(ErrorKind::Validation, "program '" + program.name + "' and nest '" +
+                                     nest.name() + "' order streams apart");
+  }
+  return nest.body();
+}
 
 std::size_t string_bytes(const std::string& s) { return s.capacity(); }
 
@@ -232,12 +249,9 @@ std::shared_ptr<const PlanTemplate> compile_template(
 
 // ------------------------------------------------------ stage 2: expansion
 
-// The expansion mirrors build_plan() statement for statement — same spawn
-// order, same channel creation order, same graph node/edge sequence, same
-// diagnostics — with every symbolic evaluation replaced by an integer dot
-// product against the template's coefficient tables. Structural bookkeeping
-// that build_plan keeps in string- or Env-keyed maps is replaced by flat
-// arrays indexed with the PS box's row-major strides.
+// Every value is an integer dot product against the template's coefficient
+// tables, and per-point bookkeeping lives in flat arrays indexed with the
+// PS box's row-major strides.
 std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
                                              const Env& sizes) {
   auto plan_ptr = std::make_unique<NetworkPlan>();
@@ -277,8 +291,9 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
 
   const PlanShape& shape = tmpl.shape;
 
-  // Partitioning: dense shared-clock ids in first-use order, exactly as in
-  // build_plan (-1 when unpartitioned).
+  // Partitioning: map a process-space point to a dense shared-clock id
+  // (-1 when unpartitioned: every process gets its own clock). Ids are
+  // assigned in first-use order, which follows the spawn order below.
   std::map<IntVec, std::int32_t, IntVecLess> clock_ids;
   auto clock_for = [&](const IntVec& y) -> std::int32_t {
     if (shape.partition_grid.dim() == 0) return -1;
@@ -300,9 +315,8 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     return it->second;
   };
 
-  // Enumerate the PS box (last dimension fastest — build_plan's order) and
-  // precompute row-major strides so per-point state lives in flat arrays
-  // instead of IntVec-keyed maps.
+  // Enumerate the PS box (last dimension fastest) and precompute row-major
+  // strides so per-point state lives in flat arrays.
   std::vector<IntVec> box;
   {
     IntVec y = ps_min;
@@ -349,11 +363,8 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
   std::vector<Port> ports(box.size() * nstreams);
 
   NetworkGraph& net = plan.graph;
-  // build_plan funnels every insertion through NetworkGraph::add_node,
-  // whose duplicate check linear-scans all nodes (quadratic overall). The
-  // only duplicates a plan ever produces are computation nodes, revisited
-  // once per stream, so an O(1) seen-flag per box point reproduces the
-  // exact same node sequence.
+  // The only name a plan visits twice is a computation node (once per
+  // stream); a seen-flag per box point adds it to the graph once.
   std::vector<char> comp_node_seen(box.size(), 0);
 
   auto add_channel = [&](std::string name, std::uint32_t stream,
@@ -374,14 +385,14 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     const Int hop_capacity = shape.channel_capacity +
                              (shape.merge_internal_buffers ? q - 1 : 0);
 
-    // Group box points into pipes by their upstream anchor, in the order
-    // build_plan produces: anchors ascend lexicographically, which on the
-    // row-major box equals ascending box index, and a pipe's points ascend
-    // by dot(dir), which equals box-index order up to the sign of the
-    // per-step index delta. The anchor itself is y - steps*dir with
-    // steps = min over dims of the distance to the upstream box face — the
-    // closed form of the symbolic path's step-until-outside walk (the PS
-    // box is a rectangle, so every intermediate point is inside).
+    // Group box points into pipes by their upstream anchor, the most
+    // upstream box point on the line through y along dir. Pipes are
+    // numbered by ascending anchor, which on the row-major box is
+    // ascending box index, and a pipe's points run downstream by ascending
+    // dot(dir), which is box-index order up to the sign of the per-step
+    // index delta. The anchor is y - steps*dir with steps = min over dims
+    // of the distance to the upstream box face (the PS box is a rectangle,
+    // so every intermediate point is inside).
     Int delta = 0;
     for (std::size_t i = 0; i < psdim; ++i) delta += dir[i] * stride[i];
     std::vector<std::vector<std::uint32_t>> pipes_by_anchor(box.size());
@@ -453,9 +464,8 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       net.nodes.push_back(
           NetworkGraph::Node{in_name, NetworkGraph::NodeKind::Input});
       std::string last_node = in_name;
-      // Same node/edge sequence as build_plan's add_node + add_edge pair;
-      // all names funnelled through here are new by construction (the
-      // deduplicated computation nodes are handled at their use site).
+      // Every name funnelled through here is new; computation nodes, the
+      // one repeated name, are handled at their use site.
       auto link_node = [&](std::string node, NetworkGraph::NodeKind kind,
                            std::int32_t via) {
         net.edges.push_back(NetworkGraph::Edge{
@@ -610,6 +620,13 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
   }
   plan.clock_count = clock_ids.size();
   return plan_ptr;
+}
+
+std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
+                                        const LoopNest& nest,
+                                        const Env& sizes,
+                                        const PlanShape& shape) {
+  return expand_template(*compile_template(program, nest, shape), sizes);
 }
 
 }  // namespace systolize

@@ -1,12 +1,12 @@
-// Size-generic plan templates: the compile-once / specialize-cheaply split.
+// Size-generic plan templates: the compile-once / specialize-cheaply split,
+// and the only way a NetworkPlan is built.
 //
-// `build_plan()` re-runs the full symbolic pipeline — piecewise clause
-// selection over rational affine expressions, per-point Env copies,
-// `std::map<Symbol>` term walks — for every problem size. All of that is
-// size-INdependent structure: the paper's derivations (Sects. 6-7) are
-// symbolic in the size variables, so they can be lowered exactly once per
-// (program, shape) into flat integer coefficient tables and then evaluated
-// at any concrete size with overflow-checked integer dot products only.
+// The paper's derivations (Sects. 6-7) are symbolic in the size variables
+// and the process coordinates: piecewise clause selection over rational
+// affine expressions. That structure does not depend on the problem size,
+// so it is lowered exactly once per (program, shape) into flat integer
+// coefficient tables and then evaluated at any concrete size with
+// overflow-checked integer dot products only.
 //
 //   stage 1  compile_template(program, nest, shape)  -> PlanTemplate
 //            every symbolic derivation runs once: guards and values become
@@ -17,14 +17,14 @@
 //   stage 2  expand_template(tmpl, sizes)            -> NetworkPlan
 //            pure integer arithmetic: bind the size symbols, enumerate the
 //            PS box, evaluate coefficient rows. No symbolic/ calls, no
-//            Rational, no Fourier-Motzkin, no Env copies. The result is
-//            bit-identical (spawn order, channel order, element slices,
-//            names, graph) to build_plan() at the same sizes.
+//            Rational, no Fourier-Motzkin, no Env copies.
 //
-// PlanCache (runtime/plan_cache.hpp) builds its two cache levels on this
-// split: templates are memoized per (program generation, shape) and plans
-// per size vector, so a never-seen size costs one expansion instead of a
-// full symbolic derivation.
+// build_plan() (runtime/plan_cache.hpp) runs both stages for one plan.
+// PlanCache builds its two cache levels on the split: templates are
+// memoized per (program generation, shape) and plans per size vector, so
+// a never-seen size costs one expansion instead of a full symbolic
+// derivation. tests/runtime/test_plan_template.cpp checks expanded plans
+// against the brute-force EnumerationOracle (src/baseline/).
 #pragma once
 
 #include <cstdint>
@@ -141,10 +141,10 @@ struct PlanTemplate {
     const CompiledProgram& program, const LoopNest& nest,
     const PlanShape& shape);
 
-/// Stage 2: evaluate the template at concrete sizes. Integer arithmetic
-/// only; output is bit-identical to build_plan(program, nest, sizes,
-/// shape). Throws Error(Validation) when a size symbol is unbound or not
-/// an integer.
+/// Stage 2: evaluate the template at concrete sizes, integer arithmetic
+/// only. Throws Error(Validation) when a size symbol is unbound or not an
+/// integer or the partition grid has the wrong arity, and
+/// Error(Inconsistent) when a process breaks the conservation law.
 [[nodiscard]] std::unique_ptr<NetworkPlan> expand_template(
     const PlanTemplate& tmpl, const Env& sizes);
 

@@ -9,18 +9,12 @@
 #include "runtime/instantiate.hpp"
 #include "scheme/compiler.hpp"
 
+#include "pseudo_random.hpp"
+
 namespace systolize {
 namespace {
 
-Value pseudo_random(const std::string& var, const IntVec& p) {
-  // Deterministic, var- and index-dependent, sign-mixing.
-  Value h = 1469598103934665603LL;
-  for (char c : var) h = (h ^ c) * 1099511628211LL;
-  for (std::size_t i = 0; i < p.dim(); ++i) {
-    h = (h ^ static_cast<Value>(p[i] + 1315423911LL)) * 1099511628211LL;
-  }
-  return (h % 19) - 9;
-}
+using testutil::pseudo_random;
 
 std::vector<Env> size_sweep(const Design& design) {
   std::vector<Env> envs;

@@ -1,26 +1,49 @@
-// Cross-size differential suite for the plan-template pipeline: for every
-// catalog design and a sweep of problem sizes, the two-stage path
-// (compile_template once, expand_template per size — pure integer
-// arithmetic) must reproduce the single-stage symbolic build_plan() output
-// bit for bit: spawn order, channel order, element slices, names, graph,
-// everything. Also pins that interpreter (hooks off and on) and VM runs
-// on an expanded plan match the sequential ground truth, and that the
-// static verifier gate accepts plans served through the template path.
+// Cross-size suite for the plan-template pipeline. For every shipped
+// design (designs/*.sa: the catalog plus the guarded masked_polyprod and
+// banded_matmul) and a sweep of problem sizes and shapes, a plan expanded
+// from one template must have the process structure the brute-force
+// EnumerationOracle derives by scanning the index space: the PS box,
+// chords, pipes and their element order, soak/drain counts, buffers,
+// channel capacities and shared clocks. The oracle never evaluates the
+// compiled formulas the template lowers, so it is an independent
+// reference. Also pins that interpreter (hooks off and on) and VM runs on
+// an expanded plan match the sequential ground truth, and that the static
+// verifier gate accepts plans served through the template path.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
+
+#include "baseline/runtime_generation.hpp"
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
+#include "frontend/parser.hpp"
 #include "runtime/instantiate.hpp"
 #include "runtime/plan_template.hpp"
 #include "scheme/compiler.hpp"
 
+#ifndef SYSTOLIZE_DESIGN_DIR
+#define SYSTOLIZE_DESIGN_DIR "designs"
+#endif
+
 namespace systolize {
 namespace {
 
-const std::string kCatalog[] = {"polyprod1",   "polyprod2", "polyprod3",
-                                "matmul1",     "matmul2",   "matmul3",
-                                "matmul4",     "convolution",
-                                "correlation", "fir_bank",  "closure"};
+/// The shipped designs outside the catalog: their guards mask only the
+/// statement, so the oracle's process structure applies to them as is.
+const std::string kGuarded[] = {"masked_polyprod", "banded_matmul"};
+
+/// A catalog design by name, else designs/<name>.sa.
+Design shipped_design(const std::string& name) {
+  for (const std::string& catalog_name : catalog_names()) {
+    if (catalog_name == name) return design_by_name(name);
+  }
+  std::ifstream in(std::string(SYSTOLIZE_DESIGN_DIR) + "/" + name + ".sa");
+  std::stringstream text;
+  text << in.rdbuf();
+  return frontend::parse_design(text.str());
+}
 
 Env sizes_for(const Design& design, Int n) {
   Env env{{"n", Rational(n)}};
@@ -115,28 +138,229 @@ void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
   expect_same_graph(a.graph, b.graph, what);
 }
 
+bool in_box(const IntVec& y, const IntVec& lo, const IntVec& hi) {
+  for (std::size_t i = 0; i < y.dim(); ++i) {
+    if (y[i] < lo[i] || y[i] > hi[i]) return false;
+  }
+  return true;
+}
+
+/// Check `plan`, expanded at `sizes` under `shape`, against the
+/// enumeration oracle. Each pipe is walked along its channel chain from
+/// its input process: the chain must visit the box points of one line
+/// along the stream's direction, from its anchor (the most upstream box
+/// point) downstream, with q-1 internal buffers in front of each point
+/// unless buffers are merged, a Comp process at each computation-space
+/// point and an external buffer everywhere else, and carry exactly the
+/// oracle's pipe elements, in order.
+void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
+                                const Env& sizes, const PlanShape& shape,
+                                const std::string& what) {
+  const EnumerationOracle oracle(design.nest, design.spec, sizes);
+  ASSERT_EQ(plan.ps_min, oracle.ps_min()) << what;
+  ASSERT_EQ(plan.ps_max, oracle.ps_max()) << what;
+  EXPECT_EQ(plan.increment, oracle.increment()) << what;
+  const IntVec& lo = oracle.ps_min();
+  const IntVec& hi = oracle.ps_max();
+  const std::vector<IntVec> box = oracle.ps_points();
+  const std::vector<Stream>& streams = design.nest.streams();
+  ASSERT_EQ(plan.streams.size(), streams.size()) << what;
+
+  // Computation processes: one per computation-space point, nowhere else,
+  // with the oracle's chord and per-stream soak/drain.
+  std::map<IntVec, std::size_t, IntVecLess> comp_at;
+  for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+    const NetworkPlan::ProcSpec& p = plan.procs[i];
+    if (p.kind != NetworkPlan::ProcKind::Comp) continue;
+    EXPECT_EQ(p.place, p.coords) << what << " " << p.name;
+    EXPECT_TRUE(comp_at.emplace(p.coords, i).second)
+        << what << " two computation processes at " << p.coords.to_string();
+  }
+  std::size_t cs_points = 0;
+  for (const IntVec& y : box) {
+    const std::string at = what + " at " + y.to_string();
+    if (!oracle.in_computation_space(y)) {
+      EXPECT_FALSE(comp_at.contains(y)) << at << ": comp outside CS";
+      continue;
+    }
+    ++cs_points;
+    auto it = comp_at.find(y);
+    if (it == comp_at.end()) {
+      ADD_FAILURE() << at << ": no computation process";
+      continue;
+    }
+    const NetworkPlan::ProcSpec& comp = plan.procs[it->second];
+    const EnumerationOracle::Chord& chord = oracle.chord_at(y);
+    EXPECT_EQ(comp.first_x, chord.first) << at;
+    EXPECT_EQ(comp.count, chord.count) << at;
+    ASSERT_EQ(comp.role_end - comp.role_begin, streams.size()) << at;
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const NetworkPlan::RoleSpec& role = plan.roles[comp.role_begin + s];
+      const std::string& name = streams[s].name();
+      EXPECT_EQ(role.stream, s) << at;
+      EXPECT_EQ(role.stationary, design.spec.motion_of(streams[s]).stationary)
+          << at << " " << name;
+      EXPECT_EQ(role.soak, oracle.soak_at(name, y)) << at << " soak " << name;
+      EXPECT_EQ(role.drain, oracle.drain_at(name, y))
+          << at << " drain " << name;
+    }
+  }
+  EXPECT_EQ(comp_at.size(), cs_points) << what;
+  EXPECT_EQ(plan.comp_count, cs_points) << what;
+
+  // Pipes, walked channel by channel from their input processes.
+  std::vector<std::size_t> visits(plan.procs.size(), 0);
+  std::size_t pipes = 0;
+  auto receiver = [&](std::int32_t chan) -> std::size_t {
+    const std::int32_t r = plan.channels[chan].receiver;
+    EXPECT_GE(r, 0) << what << " channel " << plan.channels[chan].name;
+    return r < 0 ? 0 : static_cast<std::size_t>(r);
+  };
+  for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+    const NetworkPlan::ProcSpec& in = plan.procs[i];
+    if (in.kind != NetworkPlan::ProcKind::Input) continue;
+    ++pipes;
+    ++visits[i];
+    const std::uint32_t s = in.stream;
+    const std::string& name = plan.streams[s];
+    const StreamMotion motion = design.spec.motion_of(streams[s]);
+    const IntVec& dir = motion.direction;
+    const Int q = motion.denominator;
+    const Int inner = shape.merge_internal_buffers ? 0 : q - 1;
+    const Int hop_capacity =
+        shape.channel_capacity + (shape.merge_internal_buffers ? q - 1 : 0);
+    const IntVec& a = in.place;
+    const std::string pipe = what + " pipe " + name + " from " + a.to_string();
+    EXPECT_EQ(name, streams[s].name()) << pipe;
+    EXPECT_TRUE(in_box(a, lo, hi)) << pipe;
+    EXPECT_FALSE(in_box(a - dir, lo, hi)) << pipe << ": not an anchor";
+
+    const auto oracle_pipe = oracle.pipe_at(name, a);
+    const std::vector<IntVec> elems =
+        oracle_pipe.has_value() ? oracle_pipe->elems : std::vector<IntVec>{};
+    const std::vector<IntVec> slice(plan.elems.begin() + in.elem_begin,
+                                    plan.elems.begin() + in.elem_end);
+    EXPECT_EQ(slice, elems) << pipe;
+    EXPECT_EQ(in.count, static_cast<Int>(elems.size())) << pipe;
+
+    // A channel's capacity depends on its sender: the hop leaving a
+    // process on the pipe absorbs the merged buffers, the rest hold
+    // `channel_capacity`.
+    std::int32_t chan = in.chan_out;
+    auto advance = [&](std::int32_t out, Int capacity) {
+      const NetworkPlan::ChannelSpec& c = plan.channels[out];
+      EXPECT_EQ(c.stream, s) << pipe << " channel " << c.name;
+      EXPECT_EQ(c.capacity, capacity) << pipe << " channel " << c.name;
+      chan = out;
+    };
+    advance(chan, shape.channel_capacity);
+    IntVec tail = a;
+    for (IntVec y = a; in_box(y, lo, hi); y += dir) {
+      const std::string at = pipe + " at " + y.to_string();
+      for (Int b = 0; b < inner; ++b) {
+        const std::size_t k = receiver(chan);
+        const NetworkPlan::ProcSpec& buf = plan.procs[k];
+        ASSERT_EQ(buf.kind, NetworkPlan::ProcKind::Pass) << at << " buffer";
+        EXPECT_EQ(buf.place, y) << at << " buffer";
+        EXPECT_EQ(buf.stream, s) << at << " buffer";
+        EXPECT_EQ(buf.count, in.count) << at << " buffer";
+        ++visits[k];
+        advance(buf.chan_out, shape.channel_capacity);
+      }
+      const std::size_t k = receiver(chan);
+      const NetworkPlan::ProcSpec& proc = plan.procs[k];
+      ++visits[k];
+      if (oracle.in_computation_space(y)) {
+        ASSERT_EQ(proc.kind, NetworkPlan::ProcKind::Comp) << at;
+        EXPECT_EQ(proc.coords, y) << at;
+        const NetworkPlan::RoleSpec& role = plan.roles[proc.role_begin + s];
+        EXPECT_EQ(role.chan_in, chan) << at;
+        advance(role.chan_out, hop_capacity);
+      } else {
+        ASSERT_EQ(proc.kind, NetworkPlan::ProcKind::Pass) << at << " xbuf";
+        EXPECT_EQ(proc.place, y) << at << " xbuf";
+        EXPECT_EQ(proc.stream, s) << at << " xbuf";
+        EXPECT_EQ(proc.count, in.count) << at << " xbuf";
+        advance(proc.chan_out, hop_capacity);
+      }
+      tail = y;
+    }
+    const std::size_t k = receiver(chan);
+    const NetworkPlan::ProcSpec& out = plan.procs[k];
+    ++visits[k];
+    ASSERT_EQ(out.kind, NetworkPlan::ProcKind::Output) << pipe;
+    EXPECT_EQ(out.place, tail) << pipe;
+    EXPECT_EQ(out.stream, s) << pipe;
+    EXPECT_EQ(out.elem_begin, in.elem_begin) << pipe;
+    EXPECT_EQ(out.elem_end, in.elem_end) << pipe;
+  }
+  // Every process lies on the pipes: a Comp once per stream, every other
+  // process exactly once, so the pipes of each stream tile the box.
+  for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+    const bool comp = plan.procs[i].kind == NetworkPlan::ProcKind::Comp;
+    EXPECT_EQ(visits[i], comp ? streams.size() : 1)
+        << what << " " << plan.procs[i].name;
+  }
+  EXPECT_EQ(plan.io_count, 2 * pipes) << what;
+
+  // Shared clocks: one per partition block (all blocks hold processes),
+  // and the processes of one block share its clock.
+  if (shape.partition_grid.dim() == 0) {
+    EXPECT_EQ(plan.clock_count, 0u) << what;
+    for (const NetworkPlan::ProcSpec& p : plan.procs) {
+      EXPECT_EQ(p.clock, -1) << what << " " << p.name;
+    }
+    return;
+  }
+  std::size_t blocks = 1;
+  auto block_of = [&](const IntVec& y) {
+    IntVec block(y.dim());
+    for (std::size_t i = 0; i < y.dim(); ++i) {
+      const Int extent = hi[i] - lo[i] + 1;
+      const Int g = std::max<Int>(
+          1, std::min<Int>(shape.partition_grid[i], extent));
+      block[i] = (y[i] - lo[i]) * g / extent;
+    }
+    return block;
+  };
+  for (std::size_t i = 0; i < lo.dim(); ++i) {
+    const Int extent = hi[i] - lo[i] + 1;
+    blocks *= static_cast<std::size_t>(
+        std::max<Int>(1, std::min<Int>(shape.partition_grid[i], extent)));
+  }
+  EXPECT_EQ(plan.clock_count, blocks) << what;
+  std::map<IntVec, std::int32_t, IntVecLess> clock_of_block;
+  std::map<std::int32_t, IntVec> block_of_clock;
+  for (const NetworkPlan::ProcSpec& p : plan.procs) {
+    const IntVec block = block_of(p.place);
+    EXPECT_EQ(clock_of_block.emplace(block, p.clock).first->second, p.clock)
+        << what << " " << p.name;
+    EXPECT_EQ(block_of_clock.emplace(p.clock, block).first->second, block)
+        << what << " " << p.name;
+  }
+  EXPECT_EQ(clock_of_block.size(), blocks) << what;
+}
+
 class CrossSizeDifferential : public ::testing::TestWithParam<std::string> {};
 
-// One template, many sizes: expansion must agree with a fresh symbolic
-// build at every size in the sweep.
-TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossSizes) {
-  Design design = design_by_name(GetParam());
+// One template, many sizes: every expansion must match the oracle.
+TEST_P(CrossSizeDifferential, ExpandMatchesOracleAcrossSizes) {
+  Design design = shipped_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   const PlanShape shape;
   auto tmpl = compile_template(prog, design.nest, shape);
   for (Int n : {2, 3, 4, 5, 7, 9}) {
     Env sizes = sizes_for(design, n);
-    auto expanded = expand_template(*tmpl, sizes);
-    auto reference = build_plan(prog, design.nest, sizes, shape);
-    expect_same_plan(*expanded, *reference,
-                     GetParam() + " n=" + std::to_string(n));
+    auto plan = expand_template(*tmpl, sizes);
+    expect_plan_matches_oracle(*plan, design, sizes, shape,
+                               GetParam() + " n=" + std::to_string(n));
   }
 }
 
 // Non-default shapes flow through the template too: extra channel slack,
 // merged internal buffers, and partition grids (shared clock ids).
-TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossShapes) {
-  Design design = design_by_name(GetParam());
+TEST_P(CrossSizeDifferential, ExpandMatchesOracleAcrossShapes) {
+  Design design = shipped_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   std::vector<PlanShape> shapes;
   shapes.push_back(PlanShape{2, false, {}});
@@ -151,10 +375,10 @@ TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossShapes) {
     auto tmpl = compile_template(prog, design.nest, shape);
     for (Int n : {3, 5}) {
       Env sizes = sizes_for(design, n);
-      auto expanded = expand_template(*tmpl, sizes);
-      auto reference = build_plan(prog, design.nest, sizes, shape);
-      expect_same_plan(*expanded, *reference,
-                       GetParam() + " shaped n=" + std::to_string(n));
+      auto plan = expand_template(*tmpl, sizes);
+      expect_plan_matches_oracle(*plan, design, sizes, shape,
+                                 GetParam() + " shaped n=" +
+                                     std::to_string(n));
     }
   }
 }
@@ -163,7 +387,7 @@ TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossShapes) {
 // match the sequential ground truth on the interpreter, with and without
 // its watchdog hooks, and on the VM alike.
 TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
-  Design design = design_by_name(GetParam());
+  Design design = shipped_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   PlanCache cache;
   for (Int n : {3, 5}) {
@@ -207,7 +431,7 @@ TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
 // accept every catalog design when the plan arrives via the template
 // path — same proofs, zero scheduler rounds, no false findings.
 TEST_P(CrossSizeDifferential, VerifyPlanGatePassesOnTemplatePath) {
-  Design design = design_by_name(GetParam());
+  Design design = shipped_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   PlanCache cache;
   Env sizes = sizes_for(design, 4);
@@ -221,7 +445,10 @@ TEST_P(CrossSizeDifferential, VerifyPlanGatePassesOnTemplatePath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, CrossSizeDifferential,
-                         ::testing::ValuesIn(kCatalog),
+                         ::testing::ValuesIn(catalog_names()),
+                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(Guarded, CrossSizeDifferential,
+                         ::testing::ValuesIn(kGuarded),
                          [](const auto& info) { return info.param; });
 
 // Template expansion reports unbound sizes the way the symbolic

@@ -4,8 +4,8 @@
 # Each invocation appends one run entry {label, commit, date, benchmarks}
 # so the file accumulates a perf trajectory across PRs. The suite covers
 # the end-to-end pipeline (BM_EndToEnd_*), the raw substrate
-# (BM_SubstrateRelayChain), and plan construction (BM_PlanBuild_* vs
-# BM_PlanExpand_*, plus the BM_ColdSizeSweep_* serving-loop pair — see
+# (BM_SubstrateRelayChain), and plan construction (BM_PlanExpand_*,
+# BM_PlanCompileExpand_* and the BM_ColdSizeSweep_* serving loop — see
 # docs/performance.md "Plan templates").
 #
 # usage: tools/bench.sh [label] [extra benchmark args...]

@@ -190,7 +190,7 @@ echo "=== bench smoke: template expansion ==="
 "${repo}/build/bench/bench_endtoend" \
   --benchmark_filter='BM_PlanExpand_Matmul2/6' --benchmark_min_time=0.05
 
-echo "=== cross-size differential: expand_template == build_plan ==="
+echo "=== cross-size differential: expanded plans checked against the enumeration oracle ==="
 ctest --test-dir "${repo}/build" --output-on-failure \
   -R 'CrossSizeDifferential|PlanTemplate|PlanCache'
 

@@ -7,7 +7,6 @@
 //                    [--merge-buffers] [--partition=G] [--no-verify]
 //                    [--inject=PLAN] [--watchdog-rounds=N]
 //                    [--watchdog-blocked=N] [--deadlock-report]
-//                    [--plan-cache-bytes=N]
 //   systolize graph  <design | file.sa> [--n=N] [--m=M]     (Graphviz dot)
 //   systolize schedule <design | file.sa> [--n=N] [--m=M]   (space-time table)
 //   systolize verify <design | file.sa | all> [--n=N] [--m=M] [--capacity=K]
@@ -33,7 +32,6 @@
 // the machine-readable JSON forensics payload when a run stalls.
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -71,7 +69,7 @@ int usage() {
       "                   [--merge-buffers] [--partition=G] [--no-verify]\n"
       "                   [--inject=PLAN] [--watchdog-rounds=N]\n"
       "                   [--watchdog-blocked=N] [--deadlock-report]\n"
-      "                   [--threads=N] [--plan-cache-bytes=N]\n"
+      "                   [--threads=N]\n"
       "                   [--round-budget=N] [--wall-timeout-ms=N]\n"
       "                   [--backend=interp|bytecode] [--batch=N]\n"
       "  systolize graph  <design | file.sa> [--n=N] [--m=M]\n"
@@ -130,9 +128,9 @@ int cmd_help() {
       "differential fuzzing (docs/static-analysis.md):\n"
       "  systolize fuzz samples random Appendix-A loop nests plus compatible\n"
       "  (step, place) designs and cross-checks the static verifier against\n"
-      "  both execution engines (the interpreter over build_plan and over\n"
-      "  plan templates, the bytecode VM solo and batched) and the\n"
-      "  sequential baseline. Exit 0 = the oracles agreed on every sample.\n"
+      "  both execution engines (the interpreter, the bytecode VM solo and\n"
+      "  batched) and the sequential baseline. Exit 0 = the oracles agreed\n"
+      "  on every sample.\n"
       "  --seed=S         campaign seed; sample #i is a pure function of\n"
       "                   (S, i), so any sample replays in isolation and the\n"
       "                   same seed always yields the same samples and\n"
@@ -192,7 +190,7 @@ struct Options {
   Int threads = 0;               ///< lane workers of a batched VM run
   std::string backend;           ///< "", "interp" or "bytecode"
   Int batch = 1;                 ///< problem instances per dispatch
-  Int plan_cache_bytes = -1;     ///< >=0: attach a budgeted PlanCache
+  Int plan_cache_bytes = -1;     ///< serve: >=0 sizes the plan cache
   bool verify_plan = false;      ///< run: static verification gate first
   std::string format = "text";   ///< verify: text | json
   std::string allow;             ///< verify: comma-separated rule ids
@@ -466,15 +464,6 @@ int cmd_run(const Design& design, const Options& opt) {
                                   "ms exceeded";
   }
   if (opt.threads > 0) iopt.threads = static_cast<unsigned>(opt.threads);
-  // --plan-cache-bytes=N: route plan construction through the two-stage
-  // template pipeline with an N-byte plan budget (small budgets keep the
-  // template but evict expanded plans aggressively).
-  std::unique_ptr<PlanCache> cache;
-  if (opt.plan_cache_bytes >= 0) {
-    cache = std::make_unique<PlanCache>(
-        static_cast<std::size_t>(opt.plan_cache_bytes));
-    iopt.plan_cache = cache.get();
-  }
   iopt.verify_plan = opt.verify_plan;
 
   // Instance b of a batch is seeded as lane b (make_seeded_store): lane 0
