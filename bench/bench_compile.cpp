@@ -5,6 +5,8 @@
 // while instantiation cost naturally grows with the array.
 #include "bench_util.hpp"
 
+#include "analysis/verify.hpp"
+
 namespace systolize::bench {
 namespace {
 
@@ -44,6 +46,23 @@ BENCHMARK(BM_CompileMatmul1);
 BENCHMARK(BM_CompileMatmul2);
 BENCHMARK(BM_CompileConvolution);
 BENCHMARK(BM_CompileCorrelation);
+
+/// The program-level static verifier on matmul2: schedule validity, flow
+/// consistency, guard feasibility and pairwise clause disjointness, all
+/// decided by Fourier-Motzkin. It leads an `analyze matmul2` op. Counts
+/// the findings so a run that stops verifying clean shows.
+void BM_VerifyProgramMatmul2(benchmark::State& state) {
+  const Design design = design_by_name("matmul2");
+  const CompiledProgram prog = compile(design.nest, design.spec);
+  for (auto _ : state) {
+    VerifyReport report = verify_program(prog, design.nest);
+    benchmark::DoNotOptimize(report);
+  }
+  const VerifyReport report = verify_program(prog, design.nest);
+  if (report.errors() != 0) state.SkipWithError("matmul2 no longer verifies");
+  state.counters["findings"] = static_cast<double>(report.findings.size());
+}
+BENCHMARK(BM_VerifyProgramMatmul2);
 
 /// Compilation is problem-size independent: the symbolic result is the
 /// same object regardless of n, so the only size-dependent stage is

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <map>
+#include <string>
 
 #include "scheme/types.hpp"
 #include "support/error.hpp"
 #include "symbolic/fourier_motzkin.hpp"
+#include "symbolic/symbol.hpp"
 
 namespace systolize {
 
@@ -249,6 +251,59 @@ std::shared_ptr<const PlanTemplate> compile_template(
 
 // ------------------------------------------------------ stage 2: expansion
 
+namespace {
+
+/// Name of template variable `var`: a canonical process coordinate (the
+/// scheme names them so, see compiler.cpp) or a size symbol.
+std::string var_name(const PlanTemplate& tmpl, std::size_t var) {
+  return var < tmpl.ncoords ? canonical_coord(var).name()
+                            : tmpl.size_symbols[var - tmpl.ncoords];
+}
+
+/// `form` over the template's variable names, e.g. "(n + 2*col - 1)/3".
+std::string form_string(const PlanTemplate& tmpl, const LinForm& form) {
+  std::string s;
+  auto term = [&s](Int coeff, const std::string& name) {
+    // Unsigned, so INT64_MIN has a magnitude.
+    const std::uint64_t mag = coeff < 0 ? 0 - static_cast<std::uint64_t>(coeff)
+                                        : static_cast<std::uint64_t>(coeff);
+    s += s.empty() ? (coeff < 0 ? "-" : "") : (coeff < 0 ? " - " : " + ");
+    if (name.empty() || mag != 1) s += std::to_string(mag);
+    if (!name.empty()) s += (mag != 1 ? "*" : "") + name;
+  };
+  for (const auto& [var, coeff] : form.terms) term(coeff, var_name(tmpl, var));
+  if (form.constant != 0 || s.empty()) term(form.constant, "");
+  if (form.den == 1) return s;
+  return "(" + s + ")/" + std::to_string(form.den);
+}
+
+/// form.eval(vars). When the value is not an integer, the NotRepresentable
+/// error names the quantity, the coordinates (when `at_point`) and sizes
+/// it was evaluated at, and the form; all of it is built on that path.
+template <typename Quantity>
+Int eval_named(const PlanTemplate& tmpl, const LinForm& form,
+               const Int* vars, bool at_point, Quantity&& quantity) {
+  try {
+    return form.eval(vars);
+  } catch (const Error& e) {
+    if (e.kind() != ErrorKind::NotRepresentable) throw;
+    std::string where;
+    const std::size_t nvars = tmpl.ncoords + tmpl.size_symbols.size();
+    for (std::size_t var = at_point ? 0 : tmpl.ncoords; var < nvars; ++var) {
+      where += (where.empty() ? "" : ", ") + var_name(tmpl, var) + "=" +
+               std::to_string(vars[var]);
+    }
+    const Int num = form.eval_scaled(vars);
+    const Int g = gcd(num, form.den);
+    raise(ErrorKind::NotRepresentable,
+          "plan template: " + quantity() + " at " + where + ": " +
+              form_string(tmpl, form) + " evaluates to the non-integer " +
+              std::to_string(num / g) + "/" + std::to_string(form.den / g));
+  }
+}
+
+}  // namespace
+
 // Every value is an integer dot product against the template's coefficient
 // tables, and per-point bookkeeping lives in flat arrays indexed with the
 // PS box's row-major strides.
@@ -284,8 +339,14 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
   const std::size_t psdim = tmpl.ps_min.size();
   IntVec ps_min(psdim);
   IntVec ps_max(psdim);
-  for (std::size_t i = 0; i < psdim; ++i) ps_min[i] = tmpl.ps_min[i].eval(v);
-  for (std::size_t i = 0; i < psdim; ++i) ps_max[i] = tmpl.ps_max[i].eval(v);
+  for (std::size_t i = 0; i < psdim; ++i) {
+    ps_min[i] = eval_named(tmpl, tmpl.ps_min[i], v, false, [i] {
+      return "PS box min component " + std::to_string(i);
+    });
+    ps_max[i] = eval_named(tmpl, tmpl.ps_max[i], v, false, [i] {
+      return "PS box max component " + std::to_string(i);
+    });
+  }
   plan.ps_min = ps_min;
   plan.ps_max = ps_max;
 
@@ -422,7 +483,11 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       const IntVec& a = box[ai];
       bind_coords(a);
       const LinForm* count_form = st.count_s.select(v);
-      Int count = count_form == nullptr ? 0 : count_form->eval(v);
+      Int count = count_form == nullptr
+                      ? 0
+                      : eval_named(tmpl, *count_form, v, true, [&st] {
+                          return "count_s of stream '" + st.name + "'";
+                        });
 
       // Element identities in pipeline order, as one flat slice shared by
       // the pipe's input and output processes.
@@ -435,7 +500,10 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
         }
         IntVec w(first_form->size());
         for (std::size_t i = 0; i < first_form->size(); ++i) {
-          w[i] = (*first_form)[i].eval(v);
+          w[i] = eval_named(tmpl, (*first_form)[i], v, true, [&st, i] {
+            return "first_s component " + std::to_string(i) + " of stream '" +
+                   st.name + "'";
+          });
         }
         for (Int t = 0; t < count; ++t) {
           plan.elems.push_back(w);
@@ -573,11 +641,15 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     spec.name = "comp:" + point_str[k];
     spec.kind = NetworkPlan::ProcKind::Comp;
     spec.clock = clock_for(y);
-    spec.count = tmpl.count.select(v)->eval(v);
+    spec.count = eval_named(tmpl, *tmpl.count.select(v), v, true, [] {
+      return std::string("count of the repeater");
+    });
     const std::vector<LinForm>& first_form = *tmpl.first.select(v);
     IntVec first_x(first_form.size());
     for (std::size_t i = 0; i < first_form.size(); ++i) {
-      first_x[i] = first_form[i].eval(v);
+      first_x[i] = eval_named(tmpl, first_form[i], v, true, [i] {
+        return "first component " + std::to_string(i) + " of the repeater";
+      });
     }
     spec.first_x = std::move(first_x);
     spec.coords = y;
@@ -595,8 +667,12 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
               "computation process " + y.to_string() +
                   " lacks soak/drain for stream '" + st.name + "'");
       }
-      role.soak = soak->eval(v);
-      role.drain = drain->eval(v);
+      role.soak = eval_named(tmpl, *soak, v, true, [&st] {
+        return "soak of stream '" + st.name + "'";
+      });
+      role.drain = eval_named(tmpl, *drain, v, true, [&st] {
+        return "drain of stream '" + st.name + "'";
+      });
       const Port& port = ports[k * nstreams + stream_id];
       role.chan_in = port.in;
       role.chan_out = port.out;

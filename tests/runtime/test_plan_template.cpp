@@ -480,6 +480,41 @@ TEST(PlanTemplate, NonIntegerSizeRaisesValidation) {
   }
 }
 
+// A form that is not an integer at some point names what it computes, the
+// point and sizes, and the form itself. The design is the shrunk
+// reproducer of default-seed fuzz sample #28, whose flow has denominator 2.
+TEST(PlanTemplate, NonIntegerFormNamesQuantityPointAndForm) {
+  Design design = frontend::parse_design(R"(design fuzz_28
+sizes n >= 1
+loop i = 0 .. n
+loop j = 0 .. n
+loop k = 0 .. n
+stream u[i, -j] update dims [0 .. n, -n .. 0]
+stream a[-i - j - 2*k, i - 2*j - k] read dims [-4*n .. 0, -3*n .. n]
+body u := u + a
+step i + j + k
+place (i, k)
+)");
+  CompiledProgram prog = compile(design.nest, design.spec);
+  auto tmpl = compile_template(prog, design.nest, PlanShape{});
+  const std::pair<Int, std::string> cases[] = {
+      {1, "plan template: count_s of stream 'a' at col=0, row=0, n=1: "
+          "(3*col + 3*n + 3*row + 2)/2 evaluates to the non-integer 5/2"},
+      {2, "plan template: first_s component 0 of stream 'a' at col=0, "
+          "row=1, n=2: (-3*col + n - 3*row)/2 evaluates to the non-integer "
+          "-1/2"},
+  };
+  for (const auto& [n, message] : cases) {
+    try {
+      (void)expand_template(*tmpl, Env{{"n", Rational(n)}});
+      ADD_FAILURE() << "expected Error(NotRepresentable) at n=" << n;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::NotRepresentable);
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+}
+
 // The template is self-contained: expansion works after the compiled
 // program it was lowered from is gone.
 TEST(PlanTemplate, TemplateOutlivesProgram) {

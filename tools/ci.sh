@@ -117,6 +117,18 @@ done
 ctest --test-dir "${repo}/build" --output-on-failure \
   -R 'BytecodeDifferential|BytecodeValidation|BytecodeCache'
 
+echo "=== decision procedure: dense rows against the rational reference ==="
+# Fourier-Motzkin (is_feasible, implies, drop_redundant) decides over dense
+# integer rows and falls back to the rational elimination on overflow or
+# past eight symbols (docs/performance.md "Guard decisions: Fourier-Motzkin
+# over dense rows"). The differential suite checks the two against each
+# other on seeded random systems and on the fallback edges; re-run it by
+# name in both configurations so a filtered invocation cannot skip it.
+for dir in build build-asan; do
+  ctest --test-dir "${repo}/${dir}" --output-on-failure \
+    -R 'FourierMotzkin|HasInterior'
+done
+
 echo "=== numeric edges: classified errors, never a crash or a hang ==="
 # Store construction sizes every stream's box with checked arithmetic and
 # checks each index map's image against the declared box, so a size whose
@@ -288,6 +300,19 @@ echo "=== bench smoke: static analysis + design-space search ==="
 "${repo}/build/bench/bench_endtoend" \
   --benchmark_filter='BM_AnalyzeCost/6|BM_ExploreMatmul2' \
   --benchmark_min_time=0.05
+
+echo "=== bench smoke: scheme compile + program verifier ==="
+# Both lean on Fourier-Motzkin. BM_VerifyProgramMatmul2 doubles as a
+# correctness assertion: it skips with an error if matmul2 stops verifying
+# clean, which the benchmark library prints but does not turn into an
+# exit code, so the log is checked.
+compile_log="$("${repo}/build/bench/bench_compile" \
+  --benchmark_filter='BM_CompileMatmul2|BM_VerifyProgramMatmul2' \
+  --benchmark_min_time=0.05 2>&1)"
+echo "${compile_log}"
+if grep -q 'ERROR OCCURRED' <<<"${compile_log}"; then
+  echo "bench_compile reported an error" >&2; exit 1
+fi
 
 echo "=== bench gate: analysis must hold the PR8 numbers ==="
 # Recorded-baseline gate: the PR8 run is the floor; "latest" resolves to

@@ -4,7 +4,8 @@
 //   systolize report <design | file.sa>
 //   systolize emit   <design | file.sa> [--syntax=paper|occam|c]
 //   systolize run    <design | file.sa> [--n=N] [--m=M] [--capacity=K]
-//                    [--merge-buffers] [--partition=G] [--no-verify]
+//                    [--merge-buffers] [--partition=G]
+//                    [--verify | --no-verify] [--verify-plan]
 //                    [--inject=PLAN] [--watchdog-rounds=N]
 //                    [--watchdog-blocked=N] [--deadlock-report]
 //   systolize graph  <design | file.sa> [--n=N] [--m=M]     (Graphviz dot)
@@ -19,7 +20,9 @@
 //                    [--export=FILE] [--format=text|json]
 //
 // <design> is a catalog name (see `systolize list`); anything containing a
-// '.' or '/' is treated as a .sa file path.
+// '.' or '/' is treated as a .sa file path. Each command takes only the
+// flags it reads: a flag of another command is error [Validation] (exit
+// 1), a flag no command knows a usage error (exit 2).
 //
 // `verify` runs the static plan verifier (docs/static-analysis.md): spec,
 // program and plan-level rules, zero scheduler rounds. It exits non-zero
@@ -30,9 +33,12 @@
 // directives, e.g. "seed=42;stall=0.1:4;delay=0.05:3" or
 // "kill@comp:(1)=2"); see docs/fault-model.md. --deadlock-report prints
 // the machine-readable JSON forensics payload when a run stalls.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -66,7 +72,8 @@ int usage() {
       "  systolize report <design | file.sa>\n"
       "  systolize emit   <design | file.sa> [--syntax=paper|occam|c]\n"
       "  systolize run    <design | file.sa> [--n=N] [--m=M] [--capacity=K]\n"
-      "                   [--merge-buffers] [--partition=G] [--no-verify]\n"
+      "                   [--merge-buffers] [--partition=G]\n"
+      "                   [--verify | --no-verify] [--verify-plan]\n"
       "                   [--inject=PLAN] [--watchdog-rounds=N]\n"
       "                   [--watchdog-blocked=N] [--deadlock-report]\n"
       "                   [--threads=N]\n"
@@ -93,7 +100,9 @@ int usage() {
       "                   [--wall-timeout-ms=N] [--max-retries=N]\n"
       "                   [--plan-cache-bytes=N]\n"
       "  systolize client --socket=PATH --op=OP [--design=NAME] [--n=N]\n"
-      "                   [--m=M] [--tenant=T] [--inject=PLAN] [--verify]\n"
+      "                   [--m=M] [--capacity=K] [--merge-buffers]\n"
+      "                   [--partition=G] [--threads=N]\n"
+      "                   [--tenant=T] [--inject=PLAN] [--verify]\n"
       "                   [--round-budget=N] [--wall-timeout-ms=N]\n"
       "                   [--fail-attempts=N] [--count=N] [--retry]\n"
       "                   [--backend=interp|bytecode] [--batch=N]\n"
@@ -108,9 +117,10 @@ int cmd_help() {
       "\n"
       "exit codes (run, client and serve commands):\n"
       "  0  success — the run completed (and verified, unless --no-verify)\n"
-      "  1  classified error — compile/validation failure, injected-fault\n"
-      "     deadlock, differential-verify mismatch; details on stderr, and\n"
-      "     with --deadlock-report the forensic JSON on stdout\n"
+      "  1  classified error — compile/validation failure (a flag the\n"
+      "     command does not take included), injected-fault deadlock,\n"
+      "     differential-verify mismatch; details on stderr, and with\n"
+      "     --deadlock-report the forensic JSON on stdout\n"
       "  2  usage error — unknown command or flag\n"
       "  3  timeout — the watchdog round budget (--round-budget) or the\n"
       "     wall-clock deadline (--wall-timeout-ms) expired before the run\n"
@@ -306,6 +316,7 @@ bool parse_flag(const std::string& arg, Options& opt) {
   } else if (arg == "--retry") {
     opt.retry = true;
   } else if (arg == "--verify") {
+    opt.verify = true;  // run: the explicit form of the default
     opt.client_verify = true;
   } else if (arg.rfind("--sizes=", 0) == 0) {
     opt.sizes_list = value_of("--sizes=");
@@ -321,6 +332,76 @@ bool parse_flag(const std::string& arg, Options& opt) {
     opt.export_path = value_of("--export=");
   } else {
     return false;
+  }
+  return true;
+}
+
+using FlagSet = std::vector<std::string_view>;
+
+/// The flags a command takes: those whose Options fields its cmd_*
+/// function reads. nullopt for an unknown command.
+std::optional<FlagSet> flags_of(const std::string& cmd) {
+  if (cmd == "help" || cmd == "list" || cmd == "report") return FlagSet{};
+  if (cmd == "emit") return FlagSet{"--syntax"};
+  if (cmd == "graph" || cmd == "schedule") return FlagSet{"--n", "--m"};
+  if (cmd == "run") {
+    return FlagSet{"--n", "--m", "--capacity", "--merge-buffers",
+                   "--partition", "--no-verify", "--verify", "--verify-plan",
+                   "--inject", "--watchdog-rounds", "--watchdog-blocked",
+                   "--deadlock-report", "--threads", "--round-budget",
+                   "--wall-timeout-ms", "--backend", "--batch"};
+  }
+  if (cmd == "verify") {
+    return FlagSet{"--n", "--m", "--capacity", "--merge-buffers",
+                   "--partition", "--format", "--allow"};
+  }
+  if (cmd == "analyze") {
+    return FlagSet{"--sizes", "--m", "--capacity", "--merge-buffers",
+                   "--partition", "--format"};
+  }
+  if (cmd == "explore") {
+    return FlagSet{"--coeff-range", "--sizes", "--m", "--top",
+                   "--moving-only", "--same-projection", "--export",
+                   "--format"};
+  }
+  if (cmd == "fuzz") {
+    return FlagSet{"--seed", "--count", "--no-shrink", "--corpus-dir",
+                   "--keep-rejects", "--replay", "--mutate-rate",
+                   "--coeff-range", "--batch", "--format"};
+  }
+  if (cmd == "serve") {
+    return FlagSet{"--socket", "--workers", "--queue-depth", "--tenant-cap",
+                   "--round-budget", "--wall-timeout-ms", "--max-retries",
+                   "--plan-cache-bytes"};
+  }
+  if (cmd == "client") {
+    return FlagSet{"--socket", "--op", "--design", "--n", "--m",
+                   "--capacity", "--partition", "--merge-buffers",
+                   "--threads", "--tenant", "--inject", "--verify",
+                   "--round-budget", "--wall-timeout-ms", "--fail-attempts",
+                   "--count", "--retry", "--backend", "--batch"};
+  }
+  return std::nullopt;
+}
+
+/// Apply argv[first..argc) to opt. A flag no command knows is a usage
+/// error (false); a known flag that `cmd` does not take raises Validation.
+bool parse_flags(const std::string& cmd, const FlagSet& allowed, int first,
+                 int argc, char** argv, Options& opt) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    Options known;
+    if (!parse_flag(arg, known)) {
+      std::cerr << "unknown flag '" << arg << "'\n";
+      return false;
+    }
+    const std::string_view name =
+        std::string_view(arg).substr(0, arg.find('='));
+    if (std::find(allowed.begin(), allowed.end(), name) == allowed.end()) {
+      raise(ErrorKind::Validation,
+            "'" + cmd + "' does not take " + std::string(name));
+    }
+    (void)parse_flag(arg, opt);
   }
   return true;
 }
@@ -925,38 +1006,25 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     if (argc < 2) return usage();
-    std::string cmd = argv[1];
+    const std::string cmd = argv[1];
+    const std::optional<FlagSet> allowed = flags_of(cmd);
+    if (!allowed) return usage();
+    // Every command but these names its design (or "all") first.
+    const bool targeted = cmd != "help" && cmd != "list" && cmd != "fuzz" &&
+                          cmd != "serve" && cmd != "client";
+    if (targeted && argc < 3) return usage();
+    if (!parse_flags(cmd, *allowed, targeted ? 3 : 2, argc, argv, opt)) {
+      return usage();
+    }
     if (cmd == "help") return cmd_help();
     if (cmd == "list") return cmd_list();
-    if (cmd == "fuzz") {
-      for (int i = 2; i < argc; ++i) {
-        if (!parse_flag(argv[i], opt)) {
-          std::cerr << "unknown flag '" << argv[i] << "'\n";
-          return usage();
-        }
-      }
-      return cmd_fuzz(opt);
-    }
+    if (cmd == "fuzz") return cmd_fuzz(opt);
     if (cmd == "serve" || cmd == "client") {
-      for (int i = 2; i < argc; ++i) {
-        if (!parse_flag(argv[i], opt)) {
-          std::cerr << "unknown flag '" << argv[i] << "'\n";
-          return usage();
-        }
-      }
       if (opt.socket.empty()) {
         std::cerr << cmd << " needs --socket=PATH\n";
         return usage();
       }
       return cmd == "serve" ? cmd_serve(opt) : cmd_client(opt);
-    }
-    if (argc < 3) return usage();
-
-    for (int i = 3; i < argc; ++i) {
-      if (!parse_flag(argv[i], opt)) {
-        std::cerr << "unknown flag '" << argv[i] << "'\n";
-        return usage();
-      }
     }
     if (cmd == "verify") return cmd_verify(argv[2], opt);
     if (cmd == "analyze") return cmd_analyze(argv[2], opt);
