@@ -6,6 +6,8 @@
 #include "bench_util.hpp"
 
 #include "analysis/verify.hpp"
+#include "runtime/bytecode.hpp"
+#include "runtime/vm.hpp"
 
 namespace systolize::bench {
 namespace {
@@ -63,6 +65,66 @@ void BM_VerifyProgramMatmul2(benchmark::State& state) {
   state.counters["findings"] = static_cast<double>(report.findings.size());
 }
 BENCHMARK(BM_VerifyProgramMatmul2);
+
+/// The plan verifier (channel discipline and static deadlock freedom)
+/// on one expanded plan. It retires the lowered program, so it should
+/// cost about what BM_LowerAndWalk costs on the same plan.
+void BM_VerifyPlan(benchmark::State& state, const std::string& design_name,
+                   Int n) {
+  const Design design = design_by_name(design_name);
+  const CompiledProgram prog = compile(design.nest, design.spec);
+  const std::unique_ptr<NetworkPlan> plan =
+      build_plan(prog, design.nest, sizes_for(design, n), PlanShape{});
+  for (auto _ : state) {
+    VerifyReport report = verify_plan(*plan);
+    benchmark::DoNotOptimize(report);
+  }
+  const VerifyReport report = verify_plan(*plan);
+  if (!report.findings.empty()) {
+    state.SkipWithError("the plan no longer verifies clean");
+  }
+  state.counters["processes"] = static_cast<double>(plan->procs.size());
+}
+
+/// Lowering plus a one-lane VM walk of the same plan: the cost the plan
+/// verifier is measured against.
+void BM_LowerAndWalk(benchmark::State& state, const std::string& design_name,
+                     Int n) {
+  const Design design = design_by_name(design_name);
+  const CompiledProgram prog = compile(design.nest, design.spec);
+  const std::unique_ptr<NetworkPlan> plan =
+      build_plan(prog, design.nest, sizes_for(design, n), PlanShape{});
+  const std::vector<Value> in(plan->elems.size(), 1);
+  std::vector<Value> out(plan->elems.size(), 0);
+  for (auto _ : state) {
+    const std::unique_ptr<BytecodeProgram> code = lower_plan(*plan);
+    VmResult result = run_vm(*code, *plan, in.data(), out.data(), 1, 0, 1);
+    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+BENCHMARK_CAPTURE(BM_VerifyPlan, matmul2_n14, "matmul2", 14)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_VerifyPlan, matmul2_n32, "matmul2", 32)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_VerifyPlan, closure_n32, "closure", 32)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_VerifyPlan, matmul1_n4, "matmul1", 4)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_VerifyPlan, polyprod2_n8, "polyprod2", 8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LowerAndWalk, matmul2_n14, "matmul2", 14)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LowerAndWalk, matmul2_n32, "matmul2", 32)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LowerAndWalk, closure_n32, "closure", 32)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LowerAndWalk, matmul1_n4, "matmul1", 4)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LowerAndWalk, polyprod2_n8, "polyprod2", 8)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Compilation is problem-size independent: the symbolic result is the
 /// same object regardless of n, so the only size-dependent stage is

@@ -1,17 +1,17 @@
 // PLAN-level rules: channel discipline and static deadlock freedom of an
 // interned NetworkPlan, with ZERO scheduler rounds.
 //
-// Every plan process reduces to a finite sequence of communication
-// "groups" — singleton ops for the sequential sends/receives, one par
-// set per repeater iteration — read straight off the ProcSpec/RoleSpec
-// tables, mirroring the coroutine bodies in plan_cache.cpp op for op.
-// Channel safety (single writer, single reader, send/recv balance) falls
-// out of the op counts; deadlock freedom is decided by abstractly
-// retiring ops against the channel semantics of the scheduler (a send
-// completes when the buffer has room or a receiver is parked; a recv
-// completes when a value is buffered or a sender is parked). Channel
+// The verifier reads every process's op sequence from the plan's lowered
+// bytecode (runtime/bytecode.hpp), the program the VM and the interpreter
+// run. Channel endpoints (single writer, single reader) come from the
+// plan's wiring; send/recv balance comes from the bytecode's op counts,
+// the repeater body counted LoopEnd.count times. Deadlock freedom is
+// decided by retiring the bytecode against the channel semantics of the
+// scheduler (a send completes when a receiver is parked or the buffer has
+// room; a recv completes when a value is buffered or a sender is parked),
+// each process stepped from its own cursor like Vm::resume. Channel
 // progress is monotone in this model, so greedy retirement computes the
-// unique maximal execution: either every process finishes — the network
+// unique maximal execution: either every process halts — the network
 // provably cannot deadlock on communication structure — or the stuck
 // state IS a deadlock, reported in the exact wait-for schema of the
 // runtime forensics (DeadlockReport), channels and cycle included.
@@ -21,300 +21,369 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "runtime/bytecode.hpp"
 #include "runtime/metrics.hpp"
 
 namespace systolize {
 namespace {
 
-/// One abstract communication op: a send or receive on a plan channel.
-struct AbsOp {
-  std::int32_t chan = -1;
-  bool is_send = false;
-};
-
-/// A process's communication behaviour: `ops` partitioned into groups by
-/// `group_end` (exclusive prefix ends). Groups run in order; the ops of
-/// one group are posted together (par) and the group completes when all
-/// of them have.
-struct ProcProgram {
-  std::vector<AbsOp> ops;
-  std::vector<std::size_t> group_end;
-
-  void op(std::int32_t chan, bool is_send) {
-    ops.push_back(AbsOp{chan, is_send});
-    group_end.push_back(ops.size());
-  }
-  /// Open a par group of `n` ops; follow with n push_backs onto `ops`.
-  void par_mark() { group_end.push_back(ops.size()); }
-  void par_close() { group_end.back() = ops.size(); }
-};
-
-/// Emit the op sequence of process `pi`, mirroring plan_cache.cpp's
-/// plan_*_body coroutines exactly (phase order included — it is what
-/// makes the prologue/epilogue globally consistent, see D.1.7).
-ProcProgram abstract_body(const NetworkPlan& plan, std::uint32_t pi) {
+/// Call `fn(chan, is_send)` for every channel end process `pi` is wired
+/// to.
+template <class Fn>
+void for_each_end(const NetworkPlan& plan, std::uint32_t pi, Fn&& fn) {
   const NetworkPlan::ProcSpec& spec = plan.procs[pi];
-  ProcProgram prog;
   switch (spec.kind) {
     case NetworkPlan::ProcKind::Input:
-      for (Int i = 0; i < spec.count; ++i) prog.op(spec.chan_out, true);
-      return prog;
+      fn(spec.chan_out, true);
+      break;
     case NetworkPlan::ProcKind::Output:
-      for (Int i = 0; i < spec.count; ++i) prog.op(spec.chan_in, false);
-      return prog;
+      fn(spec.chan_in, false);
+      break;
     case NetworkPlan::ProcKind::Pass:
-      for (Int i = 0; i < spec.count; ++i) {
-        prog.op(spec.chan_in, false);
-        prog.op(spec.chan_out, true);
-      }
-      return prog;
+      fn(spec.chan_in, false);
+      fn(spec.chan_out, true);
+      break;
     case NetworkPlan::ProcKind::Comp:
+      for (std::size_t r = spec.role_begin; r < spec.role_end; ++r) {
+        fn(plan.roles[r].chan_in, false);
+        fn(plan.roles[r].chan_out, true);
+      }
       break;
   }
-  auto role_at = [&](std::size_t i) -> const NetworkPlan::RoleSpec& {
-    return plan.roles[spec.role_begin + i];
-  };
-  const std::size_t nroles = spec.role_end - spec.role_begin;
-  // Prologue: load stationary streams, then soak moving ones.
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (!role.stationary) continue;
-    prog.op(role.chan_in, false);
-    for (Int k = 0; k < role.drain; ++k) {  // loading passes
-      prog.op(role.chan_in, false);
-      prog.op(role.chan_out, true);
-    }
-  }
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (role.stationary) continue;
-    for (Int k = 0; k < role.soak; ++k) {
-      prog.op(role.chan_in, false);
-      prog.op(role.chan_out, true);
-    }
-  }
-  // Repeater: par-recv all moving streams, par-send all moving streams.
-  std::vector<std::int32_t> moving_in;
-  std::vector<std::int32_t> moving_out;
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (role.stationary) continue;
-    moving_in.push_back(role.chan_in);
-    moving_out.push_back(role.chan_out);
-  }
-  for (Int iter = 0; iter < spec.count; ++iter) {
-    if (!moving_in.empty()) {
-      prog.par_mark();
-      for (std::int32_t c : moving_in) prog.ops.push_back(AbsOp{c, false});
-      prog.par_close();
-    }
-    if (!moving_out.empty()) {
-      prog.par_mark();
-      for (std::int32_t c : moving_out) prog.ops.push_back(AbsOp{c, true});
-      prog.par_close();
-    }
-  }
-  // Epilogue: drain moving streams first, recover stationary ones last.
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (role.stationary) continue;
-    for (Int k = 0; k < role.drain; ++k) {
-      prog.op(role.chan_in, false);
-      prog.op(role.chan_out, true);
-    }
-  }
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (!role.stationary) continue;
-    for (Int k = 0; k < role.soak; ++k) {  // recovery passes
-      prog.op(role.chan_in, false);
-      prog.op(role.chan_out, true);
-    }
-    prog.op(role.chan_out, true);
-  }
-  return prog;
 }
+
+/// The processes wired to one channel end, noted in process order: how
+/// many distinct ones, and the first (the only one when there is one).
+struct End {
+  Int procs = 0;
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+
+  void note(std::uint32_t pi) {
+    if (procs > 0 && last == pi) return;
+    if (procs == 0) first = pi;
+    last = pi;
+    ++procs;
+  }
+};
 
 /// Per-channel use tallies. Writers/readers are STRUCTURAL — every
 /// process wired to the channel end, even when its count is 0 at this
 /// problem size (null pipes are legal); sends/recvs count actual ops.
 struct ChannelUse {
-  std::vector<std::uint32_t> writers;  ///< distinct procs wired to send
-  std::vector<std::uint32_t> readers;  ///< distinct procs wired to recv
+  End writers;
+  End readers;
   Int sends = 0;
   Int recvs = 0;
 };
 
-void note(std::vector<std::uint32_t>& procs, std::uint32_t pi) {
-  if (std::find(procs.begin(), procs.end(), pi) == procs.end()) {
-    procs.push_back(pi);
-  }
-}
-
-std::string proc_list(const NetworkPlan& plan,
-                      const std::vector<std::uint32_t>& procs) {
+/// Every process wired to one end of channel `c`, in process order.
+std::string proc_list(const NetworkPlan& plan, std::size_t c, bool sending) {
   std::string out;
-  for (std::uint32_t pi : procs) {
+  for (std::uint32_t pi = 0; pi < plan.procs.size(); ++pi) {
+    bool wired = false;
+    for_each_end(plan, pi, [&](std::int32_t end, bool is_send) {
+      wired = wired || (static_cast<std::size_t>(end) == c &&
+                        is_send == sending);
+    });
+    if (!wired) continue;
     if (!out.empty()) out += ", ";
     out += plan.procs[pi].name;
   }
   return out;
 }
 
+/// Add every op of the bytecode to its channel's send/recv tally; the
+/// repeater body counts LoopEnd.count times.
+void tally_ops(const BytecodeProgram& prog, std::vector<ChannelUse>& use) {
+  using Op = BytecodeProgram::Op;
+  for (const BytecodeProgram::ProcCode& code : prog.procs) {
+    // Walk backwards, so a LoopEnd is met before the body it repeats.
+    Int reps = 1;
+    std::uint32_t body_begin = code.end;
+    for (std::uint32_t pc = code.end; pc-- > code.begin;) {
+      const BytecodeProgram::Insn& insn = prog.code[pc];
+      if (pc < body_begin) reps = 1;
+      const Int times = reps * std::max<Int>(insn.count, 0);
+      switch (insn.op) {
+        case Op::SendIn:
+          use[insn.a].sends += times;
+          break;
+        case Op::RecvOut:
+          use[insn.a].recvs += times;
+          break;
+        case Op::Pass:
+          use[insn.a].recvs += times;
+          use[insn.b].sends += times;
+          break;
+        case Op::RecvReg:
+          use[insn.a].recvs += reps;
+          break;
+        case Op::SendReg:
+          use[insn.a].sends += reps;
+          break;
+        case Op::ParRecv:
+        case Op::ParSend:
+          for (std::int32_t j = insn.a; j < insn.a + insn.b; ++j) {
+            ChannelUse& u = use[prog.par[j].chan];
+            (insn.op == Op::ParSend ? u.sends : u.recvs) += reps;
+          }
+          break;
+        case Op::LoopEnd:
+          reps = insn.count;
+          body_begin = pc - static_cast<std::uint32_t>(insn.b);
+          break;
+        case Op::Compute:
+        case Op::Halt:
+          break;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
-// Abstract execution of the communication structure.
+// Abstract execution of the lowered program.
 
-struct ProcState {
-  std::size_t group = 0;        ///< index into group_end
-  std::size_t remaining = 0;    ///< uncompleted ops of the current group
-  std::size_t groups_done = 0;  ///< logical time for the forensic report
-};
-
-struct PendingOp {
-  std::uint32_t proc = 0;
-  std::size_t op = 0;  ///< index into that proc's ops
-};
-
+/// One channel in the abstract execution. The plan passed the channel
+/// checks, so each side belongs to the one process the plan records, and
+/// the ops parked on a side are the last ones that process's current
+/// group posted there, in par-entry order (a hand-built plan's par set
+/// may name one channel twice): a count says which.
 struct ChanState {
-  std::vector<PendingOp> sends;  ///< parked senders, FIFO
-  std::vector<PendingOp> recvs;  ///< parked receivers, FIFO
-  std::size_t send_head = 0;
-  std::size_t recv_head = 0;
+  Int sends = 0;  ///< parked sends
+  Int recvs = 0;  ///< parked receives
   Int buffered = 0;
-  bool in_work = false;
+  Int capacity = 0;
+  std::uint32_t sender = 0;
+  std::uint32_t receiver = 0;
 };
 
-/// The whole static deadlock analysis: retire ops until quiescence; on a
-/// stuck state with unfinished processes, build the wait-for report.
-void check_deadlock(VerifyReport& report, const NetworkPlan& plan,
-                    const std::vector<ProcProgram>& progs) {
-  const std::size_t nprocs = plan.procs.size();
-  std::vector<ProcState> ps(nprocs);
-  std::vector<ChanState> cs(plan.channels.size());
-  std::vector<std::int32_t> work;  ///< channel ids with possible progress
+/// A process's resume state, as in Vm::resume: the cursor advances
+/// before an op parks, so a woken process continues with its next op.
+struct ProcState {
+  std::uint32_t pc = 0;
+  Int iter = 0;                 ///< internal loop index of the current insn
+  std::uint8_t phase = 0;       ///< Pass: 0 = recv next, 1 = send next
+  Int loop_iter = 0;            ///< repeater trip counter
+  Int pending = 0;              ///< parked ops of the current group
+  std::int32_t wait_chan = -1;  ///< a parked single op's channel, or -1
+  bool wait_send = false;       ///< ... and its direction
+  std::uint32_t par_at = 0;     ///< a parked par set's insn
+  Int groups_done = 0;          ///< completed ops and par sets: the time
+  bool finished = false;
+};
 
-  auto enqueue = [&](std::int32_t c) {
-    if (!cs[c].in_work) {
-      cs[c].in_work = true;
-      work.push_back(c);
+/// Retire the lowered program to quiescence: every process halts, or the
+/// ones left are stuck on their parked ops.
+class Retirement {
+ public:
+  Retirement(const NetworkPlan& plan, const BytecodeProgram& prog)
+      : prog_(prog), procs_(plan.procs.size()), chans_(plan.channels.size()) {
+    for (std::size_t c = 0; c < chans_.size(); ++c) {
+      const NetworkPlan::ChannelSpec& spec = plan.channels[c];
+      chans_[c].capacity = spec.capacity;
+      chans_[c].sender = static_cast<std::uint32_t>(spec.sender);
+      chans_[c].receiver = static_cast<std::uint32_t>(spec.receiver);
     }
-  };
+    ready_.reserve(procs_.size());
+    for (std::uint32_t pi = 0; pi < procs_.size(); ++pi) {
+      procs_[pi].pc = prog.procs[pi].begin;
+      ready_.push_back(pi);
+    }
+    while (!ready_.empty()) {
+      const std::uint32_t pi = ready_.back();
+      ready_.pop_back();
+      resume(pi);
+    }
+  }
 
-  // Post every op of proc `pi`'s current group onto its channel.
-  std::function<void(std::uint32_t)> post_group = [&](std::uint32_t pi) {
-    const ProcProgram& prog = progs[pi];
-    ProcState& st = ps[pi];
-    while (st.group < prog.group_end.size()) {
-      const std::size_t begin =
-          st.group == 0 ? 0 : prog.group_end[st.group - 1];
-      const std::size_t end = prog.group_end[st.group];
-      if (begin == end) {  // empty group (repeater with no moving roles)
-        ++st.group;
-        ++st.groups_done;
-        continue;
+  [[nodiscard]] const std::vector<ProcState>& procs() const { return procs_; }
+  [[nodiscard]] const std::vector<ChanState>& chans() const { return chans_; }
+
+ private:
+  /// Complete the op now, or park it. A send completes with a parked
+  /// receiver or into buffer room, a recv from the buffer or with a
+  /// parked sender; an op never overtakes one parked before it.
+  bool send(std::int32_t c) {
+    ChanState& ch = chans_[c];
+    if (ch.sends == 0) {
+      if (ch.recvs > 0) {
+        --ch.recvs;
+        complete(ch.receiver);
+        return true;
       }
-      st.remaining = end - begin;
-      for (std::size_t o = begin; o < end; ++o) {
-        const AbsOp& op = prog.ops[o];
-        auto& side = op.is_send ? cs[op.chan].sends : cs[op.chan].recvs;
-        side.push_back(PendingOp{pi, o});
-        enqueue(op.chan);
-      }
-      return;
-    }
-  };
-
-  auto complete = [&](const PendingOp& p) {
-    ProcState& st = ps[p.proc];
-    if (--st.remaining == 0) {
-      ++st.group;
-      ++st.groups_done;
-      post_group(p.proc);
-    }
-  };
-
-  for (std::uint32_t pi = 0; pi < nprocs; ++pi) post_group(pi);
-
-  while (!work.empty()) {
-    const std::int32_t c = work.back();
-    work.pop_back();
-    ChanState& ch = cs[c];
-    ch.in_work = false;
-    const Int capacity = plan.channels[c].capacity;
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      // Buffered send: the channel has room.
-      while (ch.send_head < ch.sends.size() && ch.buffered < capacity) {
+      if (ch.buffered < ch.capacity) {
         ++ch.buffered;
-        complete(ch.sends[ch.send_head++]);
-        progress = true;
+        return true;
       }
-      // Buffered recv: a value is available.
-      while (ch.recv_head < ch.recvs.size() && ch.buffered > 0) {
+    }
+    ++ch.sends;
+    return false;
+  }
+
+  bool recv(std::int32_t c) {
+    ChanState& ch = chans_[c];
+    if (ch.recvs == 0 && (ch.buffered > 0 || ch.sends > 0)) {
+      // A parked sender moves into the slot a buffered value frees, or
+      // hands its value over directly.
+      if (ch.sends > 0) {
+        --ch.sends;
+        complete(ch.sender);
+      } else {
         --ch.buffered;
-        complete(ch.recvs[ch.recv_head++]);
-        progress = true;
       }
-      // Rendezvous: a parked sender and receiver pair off.
-      while (ch.send_head < ch.sends.size() &&
-             ch.recv_head < ch.recvs.size()) {
-        complete(ch.sends[ch.send_head++]);
-        complete(ch.recvs[ch.recv_head++]);
-        progress = true;
-      }
+      return true;
+    }
+    ++ch.recvs;
+    return false;
+  }
+
+  /// A single op: complete it, or park the process on it.
+  bool single(ProcState& p, std::int32_t c, bool is_send) {
+    if (is_send ? send(c) : recv(c)) {
+      ++p.groups_done;
+      return true;
+    }
+    p.pending = 1;
+    p.wait_chan = c;
+    p.wait_send = is_send;
+    return false;
+  }
+
+  void complete(std::uint32_t pi) {
+    ProcState& st = procs_[pi];
+    if (--st.pending == 0) {
+      ++st.groups_done;
+      ready_.push_back(pi);
     }
   }
 
-  std::vector<std::uint32_t> unfinished;
-  for (std::uint32_t pi = 0; pi < nprocs; ++pi) {
-    if (ps[pi].group < progs[pi].group_end.size()) unfinished.push_back(pi);
-  }
-  if (unfinished.empty()) return;  // provably deadlock-free
+  void resume(std::uint32_t pi);
 
-  // Stuck: reconstruct the runtime forensics. Blocked ops are exactly
-  // the posted-but-unretired ops of each unfinished process's current
-  // group; a blocked send waits for the channel's receiver, a blocked
-  // recv for its sender.
+  const BytecodeProgram& prog_;
+  std::vector<ProcState> procs_;
+  std::vector<ChanState> chans_;
+  std::vector<std::uint32_t> ready_;
+};
+
+void Retirement::resume(std::uint32_t pi) {
+  using Op = BytecodeProgram::Op;
+  ProcState& p = procs_[pi];
+  for (;;) {
+    const BytecodeProgram::Insn& insn = prog_.code[p.pc];
+    switch (insn.op) {
+      case Op::SendIn:
+      case Op::RecvOut:
+        while (p.iter < insn.count) {
+          ++p.iter;
+          if (!single(p, insn.a, insn.op == Op::SendIn)) return;
+        }
+        p.iter = 0;
+        ++p.pc;
+        break;
+      case Op::Pass:
+        while (p.iter < insn.count) {
+          if (p.phase == 0) {
+            p.phase = 1;
+            if (!single(p, insn.a, false)) return;
+          }
+          p.phase = 0;
+          ++p.iter;
+          if (!single(p, insn.b, true)) return;
+        }
+        p.iter = 0;
+        ++p.pc;
+        break;
+      case Op::RecvReg:
+      case Op::SendReg:
+        ++p.pc;
+        if (!single(p, insn.a, insn.op == Op::SendReg)) return;
+        break;
+      case Op::ParRecv:
+      case Op::ParSend: {
+        Int undone = 0;
+        for (std::int32_t j = insn.a; j < insn.a + insn.b; ++j) {
+          const std::int32_t c = prog_.par[j].chan;
+          if (!(insn.op == Op::ParSend ? send(c) : recv(c))) ++undone;
+        }
+        if (undone > 0) {
+          p.pending = undone;
+          p.wait_chan = -1;
+          p.par_at = p.pc++;
+          return;
+        }
+        ++p.groups_done;
+        ++p.pc;
+        break;
+      }
+      case Op::Compute:
+        ++p.pc;
+        break;
+      case Op::LoopEnd:
+        if (++p.loop_iter < insn.count) {
+          p.pc -= static_cast<std::uint32_t>(insn.b);
+        } else {
+          p.loop_iter = 0;
+          ++p.pc;
+        }
+        break;
+      case Op::Halt:
+        p.finished = true;
+        return;
+    }
+  }
+}
+
+/// The whole static deadlock analysis: retire the program; on a stuck
+/// state with unfinished processes, build the wait-for report.
+void check_deadlock(VerifyReport& report, const NetworkPlan& plan,
+                    const BytecodeProgram& prog) {
+  const Retirement run(plan, prog);
+  const std::vector<ProcState>& ps = run.procs();
+  std::size_t unfinished = 0;
+  for (const ProcState& st : ps) unfinished += st.finished ? 0 : 1;
+  if (unfinished == 0) return;  // provably deadlock-free
+
+  // Stuck: reconstruct the runtime forensics. Blocked ops are the ops
+  // still parked, in process order, then par-entry order; a blocked send
+  // waits for the channel's receiver, a blocked recv for its sender.
   DeadlockReport dl;
   dl.reason = "deadlock";
   std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, std::int32_t>>>
       adj;  // proc -> (wait-for proc, via channel)
-  auto blocked_op = [&](std::uint32_t pi, const AbsOp& op) {
-    dl.blocked.push_back(BlockedOpState{
-        plan.procs[pi].name, plan.channels[op.chan].name,
-        op.is_send ? "send" : "recv",
-        static_cast<Int>(ps[pi].groups_done), 0});
-    const std::int32_t counterpart = op.is_send
-                                         ? plan.channels[op.chan].receiver
-                                         : plan.channels[op.chan].sender;
-    if (counterpart >= 0 &&
-        static_cast<std::uint32_t>(counterpart) != pi &&
-        ps[counterpart].group < progs[counterpart].group_end.size()) {
-      adj[pi].emplace_back(static_cast<std::uint32_t>(counterpart),
-                           op.chan);
-    }
-  };
-  for (std::uint32_t pi : unfinished) {
-    const ProcProgram& prog = progs[pi];
-    const std::size_t g = ps[pi].group;
-    const std::size_t begin = g == 0 ? 0 : prog.group_end[g - 1];
-    for (std::size_t o = begin; o < prog.group_end[g]; ++o) {
-      // Only ops still parked on the channel are blocked; a completed op
-      // of a half-done par group is not.
-      const AbsOp& op = prog.ops[o];
-      const ChanState& ch = cs[op.chan];
-      const auto& side = op.is_send ? ch.sends : ch.recvs;
-      const std::size_t head = op.is_send ? ch.send_head : ch.recv_head;
-      for (std::size_t k = head; k < side.size(); ++k) {
-        if (side[k].proc == pi && side[k].op == o) {
-          blocked_op(pi, op);
-          break;
-        }
+  for (std::uint32_t pi = 0; pi < ps.size(); ++pi) {
+    const ProcState& st = ps[pi];
+    if (st.finished) continue;
+    auto blocked_op = [&](std::int32_t c, bool is_send) {
+      dl.blocked.push_back(BlockedOpState{plan.procs[pi].name,
+                                          plan.channels[c].name,
+                                          is_send ? "send" : "recv",
+                                          st.groups_done, 0});
+      const ChanState& ch = run.chans()[c];
+      const std::uint32_t counterpart = is_send ? ch.receiver : ch.sender;
+      if (counterpart != pi && !ps[counterpart].finished) {
+        adj[pi].emplace_back(counterpart, c);
       }
+    };
+    if (st.wait_chan >= 0) {
+      blocked_op(st.wait_chan, st.wait_send);
+      continue;
+    }
+    const BytecodeProgram::Insn& insn = prog.code[st.par_at];
+    const bool is_send = insn.op == BytecodeProgram::Op::ParSend;
+    for (std::int32_t j = insn.a; j < insn.a + insn.b; ++j) {
+      // A side's parked ops are the set's last ones on its channel.
+      const std::int32_t c = prog.par[j].chan;
+      Int later = 0;
+      for (std::int32_t k = j + 1; k < insn.a + insn.b; ++k) {
+        later += prog.par[k].chan == c ? 1 : 0;
+      }
+      const ChanState& ch = run.chans()[c];
+      if (later < (is_send ? ch.sends : ch.recvs)) blocked_op(c, is_send);
     }
   }
 
@@ -369,7 +438,7 @@ void check_deadlock(VerifyReport& report, const NetworkPlan& plan,
   report.add(found ? "deadlock.cycle" : "deadlock.stuck", Severity::Error,
              "network",
              "the communication structure cannot complete: " +
-                 std::to_string(unfinished.size()) +
+                 std::to_string(unfinished) +
                  " process(es) block forever\n" + dl.to_string(),
              dl.to_json());
 }
@@ -382,7 +451,8 @@ void verify_plan_into(VerifyReport& report, const NetworkPlan& plan) {
     return c >= 0 && static_cast<std::size_t>(c) < nchans;
   };
 
-  // Referential integrity first — everything later indexes blindly.
+  // Referential integrity first — everything later, lowering included,
+  // indexes blindly.
   bool refs_ok = true;
   for (std::uint32_t pi = 0; pi < plan.procs.size(); ++pi) {
     const NetworkPlan::ProcSpec& spec = plan.procs[pi];
@@ -391,105 +461,70 @@ void verify_plan_into(VerifyReport& report, const NetworkPlan& plan) {
                  "process references " + what + " out of range");
       refs_ok = false;
     };
-    switch (spec.kind) {
-      case NetworkPlan::ProcKind::Input:
-        if (!chan_ok(spec.chan_out)) bad("output channel");
-        break;
-      case NetworkPlan::ProcKind::Output:
-        if (!chan_ok(spec.chan_in)) bad("input channel");
-        break;
-      case NetworkPlan::ProcKind::Pass:
-        if (!chan_ok(spec.chan_in)) bad("input channel");
-        if (!chan_ok(spec.chan_out)) bad("output channel");
-        break;
-      case NetworkPlan::ProcKind::Comp:
-        if (spec.role_begin > spec.role_end ||
-            spec.role_end > plan.roles.size()) {
-          bad("role slice");
-          break;
-        }
-        for (std::size_t r = spec.role_begin; r < spec.role_end; ++r) {
-          if (!chan_ok(plan.roles[r].chan_in)) bad("role input channel");
-          if (!chan_ok(plan.roles[r].chan_out)) bad("role output channel");
-        }
-        break;
+    const bool comp = spec.kind == NetworkPlan::ProcKind::Comp;
+    if (comp && (spec.role_begin > spec.role_end ||
+                 spec.role_end > plan.roles.size())) {
+      bad("role slice");
+      continue;
     }
+    for_each_end(plan, pi, [&](std::int32_t c, bool is_send) {
+      if (chan_ok(c)) return;
+      bad(std::string(comp ? "role " : "") +
+          (is_send ? "output channel" : "input channel"));
+    });
   }
   if (!refs_ok) return;
 
-  // Gather per-channel usage: structural endpoints from the wiring, op
-  // counts from the abstract bodies.
-  std::vector<ProcProgram> progs;
-  progs.reserve(plan.procs.size());
+  // Gather per-channel usage: structural endpoints from the wiring (a
+  // pass of count 0 lowers to no instruction but is still an endpoint),
+  // op counts from the lowered program.
   std::vector<ChannelUse> use(nchans);
   for (std::uint32_t pi = 0; pi < plan.procs.size(); ++pi) {
-    const NetworkPlan::ProcSpec& spec = plan.procs[pi];
-    switch (spec.kind) {
-      case NetworkPlan::ProcKind::Input:
-        note(use[spec.chan_out].writers, pi);
-        break;
-      case NetworkPlan::ProcKind::Output:
-        note(use[spec.chan_in].readers, pi);
-        break;
-      case NetworkPlan::ProcKind::Pass:
-        note(use[spec.chan_in].readers, pi);
-        note(use[spec.chan_out].writers, pi);
-        break;
-      case NetworkPlan::ProcKind::Comp:
-        for (std::size_t r = spec.role_begin; r < spec.role_end; ++r) {
-          note(use[plan.roles[r].chan_in].readers, pi);
-          note(use[plan.roles[r].chan_out].writers, pi);
-        }
-        break;
-    }
-    progs.push_back(abstract_body(plan, pi));
-    for (const AbsOp& op : progs.back().ops) {
-      if (op.is_send) {
-        ++use[op.chan].sends;
-      } else {
-        ++use[op.chan].recvs;
-      }
-    }
+    for_each_end(plan, pi, [&](std::int32_t c, bool is_send) {
+      (is_send ? use[c].writers : use[c].readers).note(pi);
+    });
   }
+  const std::unique_ptr<BytecodeProgram> prog = lower_plan(plan);
+  tally_ops(*prog, use);
 
   bool channels_ok = true;
   for (std::size_t c = 0; c < nchans; ++c) {
     const NetworkPlan::ChannelSpec& spec = plan.channels[c];
     const ChannelUse& u = use[c];
-    if (u.writers.empty() || u.readers.empty()) {
+    if (u.writers.procs == 0 || u.readers.procs == 0) {
       report.add("channel.dangling", Severity::Error, spec.name,
-                 u.writers.empty()
+                 u.writers.procs == 0
                      ? "no process is wired to this channel's sending end"
                      : "no process is wired to this channel's receiving end");
       channels_ok = false;
       continue;
     }
-    if (u.writers.size() > 1) {
+    if (u.writers.procs > 1) {
       report.add("channel.multi-writer", Severity::Error, spec.name,
                  "single-writer discipline violated: sends from " +
-                     proc_list(plan, u.writers));
+                     proc_list(plan, c, true));
       channels_ok = false;
     }
-    if (u.readers.size() > 1) {
+    if (u.readers.procs > 1) {
       report.add("channel.multi-reader", Severity::Error, spec.name,
                  "single-reader discipline violated: receives from " +
-                     proc_list(plan, u.readers));
+                     proc_list(plan, c, false));
       channels_ok = false;
     }
-    if (u.writers.size() == 1 &&
-        static_cast<std::int32_t>(u.writers.front()) != spec.sender) {
+    if (u.writers.procs == 1 &&
+        static_cast<std::int32_t>(u.writers.first) != spec.sender) {
       report.add("channel.endpoint-mismatch", Severity::Error, spec.name,
                  "recorded sender does not match the process that "
                  "actually sends (" +
-                     plan.procs[u.writers.front()].name + ")");
+                     plan.procs[u.writers.first].name + ")");
       channels_ok = false;
     }
-    if (u.readers.size() == 1 &&
-        static_cast<std::int32_t>(u.readers.front()) != spec.receiver) {
+    if (u.readers.procs == 1 &&
+        static_cast<std::int32_t>(u.readers.first) != spec.receiver) {
       report.add("channel.endpoint-mismatch", Severity::Error, spec.name,
                  "recorded receiver does not match the process that "
                  "actually receives (" +
-                     plan.procs[u.readers.front()].name + ")");
+                     plan.procs[u.readers.first].name + ")");
       channels_ok = false;
     }
     if (u.sends != u.recvs) {
@@ -504,7 +539,7 @@ void verify_plan_into(VerifyReport& report, const NetworkPlan& plan) {
 
   // Deadlock analysis only makes sense on a structurally sound network;
   // a count mismatch already implies a stuck process.
-  if (channels_ok) check_deadlock(report, plan, progs);
+  if (channels_ok) check_deadlock(report, plan, *prog);
 }
 
 VerifyReport verify_plan(const NetworkPlan& plan) {

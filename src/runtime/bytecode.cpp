@@ -55,10 +55,13 @@ std::unique_ptr<BytecodeProgram> lower_plan(const NetworkPlan& plan) {
         }
         break;
       case NetworkPlan::ProcKind::Comp: {
-        // The phase order mirrors plan_comp_body (runtime/plan_cache.cpp)
-        // exactly — load stationary, soak moving, repeat, drain moving,
-        // recover stationary — so the lowered process performs the same
-        // communications at the same logical times.
+        // The phase order of the paper's final programs (D.1.7): load
+        // stationary, soak moving, repeat, drain moving, recover
+        // stationary. Stationary channels are touched only in load and
+        // recover and moving ones only in soak, repeater and drain, so
+        // this order is globally consistent across processes; mixing the
+        // phases deadlocks (a process recovering a stationary stream
+        // would block a neighbour still waiting on a moving drain).
         const std::size_t nroles = spec.role_end - spec.role_begin;
         const std::int32_t scratch = alloc_reg();
         BytecodeProgram::CompMeta meta;
@@ -116,7 +119,9 @@ std::unique_ptr<BytecodeProgram> lower_plan(const NetworkPlan& plan) {
               static_cast<std::int32_t>(prog.code.size()) - loop_head;
           emit(Op::LoopEnd, 0, back, 0, spec.count);
         }
-        // Epilogue: drain moving streams, then recover stationary ones.
+        // Epilogue, the prologue's phases in reverse (D.1.7: "pass c,
+        // n-col" before "recover a, col"): drain moving streams, then
+        // recover stationary ones.
         for (std::size_t i = 0; i < nroles; ++i) {
           const NetworkPlan::RoleSpec& role = role_at(i);
           if (role.stationary || role.drain == 0) continue;

@@ -1,17 +1,20 @@
 // Bytecode lowering: compile an expanded NetworkPlan into a flat
 // per-process program of dense, register-indexed instructions.
 //
-// The coroutine-based scheduler interprets every communication through an
-// awaiter (issue, rendezvous match, park) and every process body through a
-// coroutine frame. All of that structure is plan-invariant: once a
-// NetworkPlan exists, each process's entire control flow is a short,
-// fixed instruction sequence — loops of sends (input pipes), loops of
-// receives (output pipes), fused recv/send passes (buffers, soak/drain
-// phases), par sets over a static channel table, and the repeater's
-// compute step. lower_plan() records exactly that sequence per process,
-// with channel endpoints resolved to dense mailbox slots at lower time,
-// so the VM (runtime/vm.hpp) executes a run as threaded dispatch over a
-// flat array instead of resuming coroutines.
+// The program is the only description of what a process does. Each
+// process's control flow is a short, fixed instruction sequence — loops
+// of sends (input pipes), loops of receives (output pipes), fused
+// recv/send passes (buffers, soak/drain phases), par sets over a static
+// channel table, and the repeater's compute step — and lower_plan() is
+// the only code that derives it from the plan's ProcSpec/RoleSpec tables,
+// with channel endpoints resolved to dense ids at lower time. Three
+// consumers step it:
+//   * the VM (runtime/vm.hpp) runs it as threaded dispatch over the flat
+//     array, on pure rendezvous plans, solo or as SoA lanes;
+//   * the interpreter (runtime/instantiate.cpp) runs it as one coroutine
+//     per process through the scheduler's awaiters, on every plan shape;
+//   * verify_plan (analysis/verify_plan.cpp) retires it abstractly to
+//     prove channel balance and deadlock freedom.
 //
 // Lowered programs are pure functions of the plan: they carry no run
 // state and no references into the plan beyond dense ids, so one program
@@ -19,11 +22,11 @@
 // bytecode level keyed by plan identity).
 //
 // The instruction set is deliberately coarse: each instruction may loop
-// internally (a whole input pipe is ONE SendIn instruction), because the
-// VM keeps per-process resume state (iteration index, phase) and blocking
-// happens at individual communications, not instruction boundaries. This
-// keeps programs tiny — a few instructions per process — and makes the
-// dispatch overhead per *instruction*, not per element.
+// internally (a whole input pipe is ONE SendIn instruction), because each
+// consumer keeps per-process resume state (iteration index, phase) and
+// blocking happens at individual communications, not instruction
+// boundaries. This keeps programs tiny — a few instructions per process —
+// and makes the dispatch overhead per *instruction*, not per element.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +94,12 @@ struct BytecodeProgram {
   [[nodiscard]] std::size_t memory_bytes() const;
 };
 
-/// Lower `plan` into a bytecode program. The plan must be a pure
-/// rendezvous network (capacity 0 on every channel — the only shape the
-/// VM executes; execute() gates on this before lowering). The program
-/// refers to the plan only through dense ids, so it stays valid as long
-/// as a structurally identical plan is used to run it.
+/// Lower `plan` into a bytecode program. Every plan shape lowers:
+/// lowering never reads channel capacity or clocks, which stay with the
+/// engine that runs the program. The plan's channel and role references
+/// must be in range (verify_plan checks them before it lowers). The
+/// program refers to the plan only through dense ids, so it stays valid
+/// as long as a structurally identical plan is used to run it.
 [[nodiscard]] std::unique_ptr<BytecodeProgram> lower_plan(
     const NetworkPlan& plan);
 

@@ -99,24 +99,32 @@ void fill_stream_transfers(RunMetrics& metrics, const NetworkPlan& plan,
   }
 }
 
+// The lowered program both engines run: from the cache's bytecode level
+// when a cache is attached, else lowered here.
+std::shared_ptr<const BytecodeProgram> lowered(
+    const std::shared_ptr<const NetworkPlan>& plan,
+    const InstantiateOptions& options, PlanCache::BytecodeStats& stats) {
+  if (options.plan_cache != nullptr) {
+    return options.plan_cache->lookup_or_lower(plan, &stats);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::shared_ptr<const BytecodeProgram> prog = lower_plan(*plan);
+  stats.lower_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  return prog;
+}
+
 // The VM: lower (or fetch) the program, run every instance as an SoA lane
 // of one dispatch, and de-interleave the outputs back into the stores.
 // Options must already have passed bytecode_blocker().
 void run_on_vm(const std::shared_ptr<const NetworkPlan>& plan,
                IndexedStore* stores, std::size_t batch,
                const InstantiateOptions& options, RunMetrics& metrics) {
-  std::shared_ptr<const BytecodeProgram> prog;
   PlanCache::BytecodeStats bc_stats;
-  if (options.plan_cache != nullptr) {
-    prog = options.plan_cache->lookup_or_lower(plan, &bc_stats);
-  } else {
-    const auto t0 = std::chrono::steady_clock::now();
-    prog = lower_plan(*plan);
-    bc_stats.lower_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
+  const std::shared_ptr<const BytecodeProgram> prog =
+      lowered(plan, options, bc_stats);
 
   // Gather every instance's input pipes into one instance-major buffer:
   // element e of lane l at in[e * batch + l] (the VM's lane layout, so a
@@ -173,11 +181,136 @@ void run_on_vm(const std::shared_ptr<const NetworkPlan>& plan,
   fill_stream_transfers(metrics, *plan, result.channel_transfers);
 }
 
+// What every process body of one interpreter run shares. It lives in
+// run_on_interp's frame and outlives the scheduler run.
+struct InterpRun {
+  const BytecodeProgram* prog = nullptr;
+  const NetworkPlan* plan = nullptr;
+  Channel* const* chans = nullptr;  ///< by plan channel id
+  const Value* in = nullptr;        ///< input values, aligned with plan->elems
+  Value* regs = nullptr;            ///< the register file, prog->num_regs
+  IndexedStore* store = nullptr;
+  Trace* trace = nullptr;
+};
+
+// One process: step its slice of the lowered program through the
+// scheduler's awaiters. Coroutine bodies take every datum BY VALUE so it
+// is copied into the coroutine frame (lambda captures would dangle once
+// spawn() returns); the run state they point to outlives the run.
+Task process_body(Ctx ctx, const InterpRun* run, std::uint32_t pi) {
+  using Op = BytecodeProgram::Op;
+  const BytecodeProgram& prog = *run->prog;
+  const NetworkPlan& plan = *run->plan;
+  Channel* const* chans = run->chans;
+  Value* regs = run->regs;
+  const BytecodeProgram::ProcCode code = prog.procs[pi];
+  // The par sets, built once over the process's slice of the par tables
+  // (its recv table, then its send table) and reused by every repeater
+  // iteration: only the send payloads are refreshed.
+  std::vector<CommOp> par;
+  std::int32_t par_base = 0;
+  std::vector<Value> vals;  // the statement's operands, by stream id
+  IntVec x;                 // the statement's point
+  for (std::uint32_t pc = code.begin; pc < code.end; ++pc) {
+    const BytecodeProgram::Insn& insn = prog.code[pc];
+    if (insn.op == Op::Compute) {
+      vals.assign(plan.streams.size(), 0);
+      x = prog.comps[static_cast<std::size_t>(insn.a)].first_x;
+    }
+    if (insn.op != Op::ParRecv && insn.op != Op::ParSend) continue;
+    if (par.empty()) par_base = insn.a;
+    par.resize(static_cast<std::size_t>(insn.a + insn.b - par_base));
+    for (std::int32_t j = insn.a; j < insn.a + insn.b; ++j) {
+      const BytecodeProgram::ParEntry& e = prog.par[j];
+      par[j - par_base] = insn.op == Op::ParRecv
+                              ? ctx.recv_op(*chans[e.chan], regs[e.reg])
+                              : ctx.send_op(*chans[e.chan], 0);
+    }
+  }
+  Int loop_iter = 0;
+  for (std::uint32_t pc = code.begin;;) {
+    const BytecodeProgram::Insn& insn = prog.code[pc];
+    switch (insn.op) {
+      case Op::SendIn:
+        for (Int i = 0; i < insn.count; ++i) {
+          co_await ctx.send(*chans[insn.a], run->in[insn.b + i]);
+        }
+        break;
+      case Op::RecvOut: {
+        // Write through to the store, so a faulted run's partial results
+        // stay observable.
+        const std::string& var = plan.streams[plan.procs[pi].stream];
+        for (Int i = 0; i < insn.count; ++i) {
+          Value v = 0;
+          co_await ctx.recv(*chans[insn.a], v);
+          run->store->set(var, plan.elems[insn.b + i], v);
+        }
+        break;
+      }
+      case Op::Pass:
+        for (Int i = 0; i < insn.count; ++i) {
+          co_await ctx.recv(*chans[insn.a], regs[insn.c]);
+          co_await ctx.send(*chans[insn.b], regs[insn.c]);
+        }
+        break;
+      case Op::RecvReg:
+        co_await ctx.recv(*chans[insn.a], regs[insn.c]);
+        break;
+      case Op::SendReg:
+        co_await ctx.send(*chans[insn.a], regs[insn.c]);
+        break;
+      case Op::ParRecv:
+        co_await ctx.par(par.data() + (insn.a - par_base),
+                         static_cast<std::size_t>(insn.b));
+        break;
+      case Op::ParSend: {
+        CommOp* ops = par.data() + (insn.a - par_base);
+        for (std::int32_t j = 0; j < insn.b; ++j) {
+          ops[j].value = regs[prog.par[insn.a + j].reg];
+        }
+        co_await ctx.par(ops, static_cast<std::size_t>(insn.b));
+        break;
+      }
+      case Op::Compute: {
+        const BytecodeProgram::CompMeta& meta =
+            prog.comps[static_cast<std::size_t>(insn.a)];
+        const std::size_t nslots = meta.slot_reg.size();
+        for (std::size_t i = 0; i < nslots; ++i) {
+          vals[meta.slot_stream[i]] = regs[meta.slot_reg[i]];
+        }
+        plan.body.apply(x, vals.data());
+        for (std::size_t i = 0; i < nslots; ++i) {
+          regs[meta.slot_reg[i]] = vals[meta.slot_stream[i]];
+        }
+        ctx.tick_statement();
+        if (run->trace != nullptr) {
+          run->trace->statements.push_back(StatementEvent{
+              plan.procs[pi].coords, loop_iter, ctx.process().time()});
+        }
+        x += plan.increment;
+        break;
+      }
+      case Op::LoopEnd:
+        if (++loop_iter < insn.count) {
+          pc -= static_cast<std::uint32_t>(insn.b);
+          continue;
+        }
+        loop_iter = 0;
+        break;
+      case Op::Halt:
+        co_return;
+    }
+    ++pc;
+  }
+}
+
 // The interpreter: stand the network up on the coroutine scheduler and
-// run one instance. Output processes write through to the store, so a
-// faulted run's partial results stay observable.
-void run_on_interp(const NetworkPlan& plan, IndexedStore& store,
-                   const InstantiateOptions& options, RunMetrics& metrics) {
+// run one instance of the lowered program. Output processes write
+// through to the store, so a faulted run's partial results stay
+// observable.
+void run_on_interp(const BytecodeProgram& prog, const NetworkPlan& plan,
+                   IndexedStore& store, const InstantiateOptions& options,
+                   RunMetrics& metrics) {
   // Gather every input pipe's values into one flat buffer up front;
   // outputs are only written during the run, so a bulk pre-run gather
   // reads exactly the values a pipe-by-pipe read would.
@@ -206,16 +339,17 @@ void run_on_interp(const NetworkPlan& plan, IndexedStore& store,
   for (const NetworkPlan::ChannelSpec& spec : plan.channels) {
     chans.push_back(&sched.make_channel(spec.name, spec.capacity));
   }
-  PlanBindings bindings;
-  bindings.plan = &plan;
-  bindings.in_values = in_values.data();
-  bindings.store = &store;
-  bindings.trace = options.trace;
+  std::vector<Value> regs(prog.num_regs, 0);
+  const InterpRun run{&prog,       &plan,  chans.data(), in_values.data(),
+                      regs.data(), &store, options.trace};
   std::vector<Process*> procs;
   procs.reserve(plan.procs.size());
   for (std::uint32_t pi = 0; pi < plan.procs.size(); ++pi) {
-    procs.push_back(
-        &spawn_plan_proc(sched, pi, chans.data(), clocks.data(), bindings));
+    const NetworkPlan::ProcSpec& spec = plan.procs[pi];
+    Clock* clock = spec.clock >= 0 ? &clocks[spec.clock] : nullptr;
+    procs.push_back(&sched.spawn(
+        spec.name,
+        [&run, pi](Ctx ctx) { return process_body(ctx, &run, pi); }, clock));
   }
   // Declare both endpoints of every channel so deadlock forensics can
   // follow wait-for edges through processes that never touched them.
@@ -284,10 +418,13 @@ RunMetrics execute_batch(const CompiledProgram& program, const LoopNest& nest,
     return metrics;
   }
   // The interpreter runs a batch as `batch` independent instances of the
-  // one plan; the schedule metrics are identical per instance.
+  // one lowered program; the schedule metrics are identical per instance.
   if (options.backend == Backend::Auto) metrics.fallback_reason = blocker;
+  PlanCache::BytecodeStats bc_stats;
+  const std::shared_ptr<const BytecodeProgram> prog =
+      lowered(plan, options, bc_stats);
   for (std::size_t i = 0; i < batch; ++i) {
-    run_on_interp(*plan, stores[i], options, metrics);
+    run_on_interp(*prog, *plan, stores[i], options, metrics);
   }
   return metrics;
 }

@@ -5,7 +5,6 @@
 
 #include "runtime/bytecode.hpp"
 #include "runtime/plan_template.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace systolize {
 
@@ -302,199 +301,6 @@ std::size_t PlanCache::bytecode_bytes() const {
 std::uint64_t PlanCache::lower_ns() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lower_ns_;
-}
-
-// ------------------------------------------------------- plan execution
-
-namespace {
-
-// Coroutine bodies take every datum BY VALUE so it is copied into the
-// coroutine frame (lambda captures would dangle once spawn() returns).
-// Pointed-to storage (the plan, the channel table, the flat value
-// buffers) is owned by the caller and outlives the run.
-
-Task plan_input_body(Ctx ctx, Channel* chan, const Value* values,
-                     Int count) {
-  for (Int i = 0; i < count; ++i) {
-    co_await ctx.send(*chan, values[i]);
-  }
-}
-
-Task plan_output_store_body(Ctx ctx, Channel* chan, const NetworkPlan* plan,
-                            std::uint32_t pi, IndexedStore* store) {
-  const NetworkPlan::ProcSpec& spec = plan->procs[pi];
-  const std::string& var = plan->streams[spec.stream];
-  for (std::size_t e = spec.elem_begin; e < spec.elem_end; ++e) {
-    Value v = 0;
-    co_await ctx.recv(*chan, v);
-    store->set(var, plan->elems[e], v);
-  }
-}
-
-Task plan_pass_body(Ctx ctx, Channel* in, Channel* out, Int count) {
-  for (Int i = 0; i < count; ++i) {
-    Value v = 0;
-    co_await ctx.recv(*in, v);
-    co_await ctx.send(*out, v);
-  }
-}
-
-Task plan_comp_body(Ctx ctx, const NetworkPlan* plan, std::uint32_t pi,
-                    Channel* const* chans, Trace* trace) {
-  const NetworkPlan::ProcSpec& spec = plan->procs[pi];
-  const std::size_t nroles = spec.role_end - spec.role_begin;
-  // The statement's operands, one per stream id (the Statement's slot
-  // order); each role's communication ops read and write its stream's.
-  std::vector<Value> vals(plan->streams.size());
-  std::vector<Value*> slot(nroles);
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = plan->roles[spec.role_begin + i];
-    slot[i] = &vals[role.stream];
-  }
-  auto role_at = [plan, &spec](std::size_t i) -> const NetworkPlan::RoleSpec& {
-    return plan->roles[spec.role_begin + i];
-  };
-  // Prologue, in the phase order of the paper's final programs (D.1.7):
-  // first load every stationary stream, then soak every moving one.
-  // Stationary channels are touched only in load/recover and moving ones
-  // only in soak/repeater/drain, so this phase order is globally
-  // consistent across processes — mixing them deadlocks (a process
-  // recovering a stationary stream would block a neighbour still waiting
-  // on a moving drain).
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (!role.stationary) continue;
-    Channel& in = *chans[role.chan_in];
-    Channel& out = *chans[role.chan_out];
-    co_await ctx.recv(in, *slot[i]);
-    for (Int k = 0; k < role.drain; ++k) {  // loading passes = drain_s
-      Value v = 0;
-      co_await ctx.recv(in, v);
-      co_await ctx.send(out, v);
-    }
-  }
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (role.stationary) continue;
-    Channel& in = *chans[role.chan_in];
-    Channel& out = *chans[role.chan_out];
-    for (Int k = 0; k < role.soak; ++k) {
-      Value v = 0;
-      co_await ctx.recv(in, v);
-      co_await ctx.send(out, v);
-    }
-  }
-  // The repeater: receive every moving stream in par, compute, send in
-  // par. The par sets live in the frame and are reused across iterations
-  // (only the send payloads are refreshed) — no per-iteration allocation.
-  std::vector<CommOp> recvs;
-  std::vector<CommOp> sends;
-  std::vector<Value*> moving_slot;
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (role.stationary) continue;
-    recvs.push_back(ctx.recv_op(*chans[role.chan_in], *slot[i]));
-    sends.push_back(ctx.send_op(*chans[role.chan_out], 0));
-    moving_slot.push_back(slot[i]);
-  }
-  IntVec x = spec.first_x;
-  for (Int iter = 0; iter < spec.count; ++iter) {
-    if (!recvs.empty()) co_await ctx.par(recvs.data(), recvs.size());
-    plan->body.apply(x, vals.data());
-    ctx.tick_statement();
-    if (trace != nullptr) {
-      trace->statements.push_back(
-          StatementEvent{spec.coords, iter, ctx.process().time()});
-    }
-    if (!sends.empty()) {
-      for (std::size_t i = 0; i < sends.size(); ++i) {
-        sends[i].value = *moving_slot[i];
-      }
-      co_await ctx.par(sends.data(), sends.size());
-    }
-    x += plan->increment;
-  }
-  // Epilogue, mirroring the prologue's phase order (D.1.7: "pass c,
-  // n-col" before "recover a, col"): drain every moving stream first,
-  // recover every stationary one last.
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (role.stationary) continue;
-    Channel& in = *chans[role.chan_in];
-    Channel& out = *chans[role.chan_out];
-    for (Int k = 0; k < role.drain; ++k) {
-      Value v = 0;
-      co_await ctx.recv(in, v);
-      co_await ctx.send(out, v);
-    }
-  }
-  for (std::size_t i = 0; i < nroles; ++i) {
-    const NetworkPlan::RoleSpec& role = role_at(i);
-    if (!role.stationary) continue;
-    Channel& in = *chans[role.chan_in];
-    Channel& out = *chans[role.chan_out];
-    for (Int k = 0; k < role.soak; ++k) {  // recovery passes = soak_s
-      Value v = 0;
-      co_await ctx.recv(in, v);
-      co_await ctx.send(out, v);
-    }
-    co_await ctx.send(out, *slot[i]);
-  }
-}
-
-}  // namespace
-
-Process& spawn_plan_proc(Scheduler& sched, std::uint32_t pi,
-                         Channel* const* chans, Clock* clocks,
-                         const PlanBindings& bindings) {
-  const NetworkPlan& plan = *bindings.plan;
-  const NetworkPlan::ProcSpec& spec = plan.procs[pi];
-  Clock* clock = spec.clock >= 0 ? &clocks[spec.clock] : nullptr;
-  switch (spec.kind) {
-    case NetworkPlan::ProcKind::Input: {
-      Channel* out = chans[spec.chan_out];
-      const Value* values = bindings.in_values + spec.elem_begin;
-      const Int count = spec.count;
-      return sched.spawn(
-          spec.name,
-          [out, values, count](Ctx ctx) {
-            return plan_input_body(ctx, out, values, count);
-          },
-          clock);
-    }
-    case NetworkPlan::ProcKind::Output: {
-      Channel* in = chans[spec.chan_in];
-      const NetworkPlan* p = bindings.plan;
-      IndexedStore* store = bindings.store;
-      return sched.spawn(
-          spec.name,
-          [in, p, pi, store](Ctx ctx) {
-            return plan_output_store_body(ctx, in, p, pi, store);
-          },
-          clock);
-    }
-    case NetworkPlan::ProcKind::Pass: {
-      Channel* in = chans[spec.chan_in];
-      Channel* out = chans[spec.chan_out];
-      const Int count = spec.count;
-      return sched.spawn(
-          spec.name,
-          [in, out, count](Ctx ctx) {
-            return plan_pass_body(ctx, in, out, count);
-          },
-          clock);
-    }
-    case NetworkPlan::ProcKind::Comp:
-      break;
-  }
-  const NetworkPlan* p = bindings.plan;
-  Trace* trace = bindings.trace;
-  return sched.spawn(
-      spec.name,
-      [p, pi, chans, trace](Ctx ctx) {
-        return plan_comp_body(ctx, p, pi, chans, trace);
-      },
-      clock);
 }
 
 }  // namespace systolize

@@ -31,15 +31,9 @@
 
 #include "runtime/host.hpp"
 #include "runtime/network.hpp"
-#include "runtime/trace.hpp"
 #include "scheme/types.hpp"
 
 namespace systolize {
-
-class Channel;
-class Scheduler;
-struct Clock;
-struct Process;
 
 /// The structural knobs a plan depends on (everything in
 /// InstantiateOptions that changes the network's shape, as opposed to
@@ -179,10 +173,11 @@ class PlanCache {
   };
 
   /// Third cache level: the lowered bytecode program of an expanded plan
-  /// (runtime/bytecode.hpp), keyed by plan identity. The entry pins the
-  /// plan's shared_ptr, so the address key can never alias a recycled
-  /// allocation while cached. Same LRU byte budget as the plan level
-  /// (accounted separately — lowered programs are tiny next to plans).
+  /// (runtime/bytecode.hpp), which both engines run, keyed by plan
+  /// identity. The entry pins the plan's shared_ptr, so the address key
+  /// can never alias a recycled allocation while cached. Same LRU byte
+  /// budget as the plan level (accounted separately — lowered programs
+  /// are tiny next to plans).
   [[nodiscard]] std::shared_ptr<const BytecodeProgram> lookup_or_lower(
       std::shared_ptr<const NetworkPlan> plan,
       BytecodeStats* stats = nullptr);
@@ -256,23 +251,5 @@ class PlanCache {
   std::size_t bc_evictions_ = 0;
   std::uint64_t lower_ns_ = 0;
 };
-
-/// Per-run bindings for the plan's process bodies: where input values
-/// come from and where extracted ones go. Output processes write through
-/// to `store`, so a faulted run's partial results stay observable.
-struct PlanBindings {
-  const NetworkPlan* plan = nullptr;
-  const Value* in_values = nullptr;  ///< aligned with plan->elems
-  IndexedStore* store = nullptr;
-  Trace* trace = nullptr;
-};
-
-/// Spawn plan process `pi` into `sched`. `chans[i]` must resolve plan
-/// channel id i; `clocks` backs the plan's shared-clock ids (may be null
-/// when the plan is unpartitioned). The plan, channel table and value
-/// buffers must outlive the run.
-Process& spawn_plan_proc(Scheduler& sched, std::uint32_t pi,
-                         Channel* const* chans, Clock* clocks,
-                         const PlanBindings& bindings);
 
 }  // namespace systolize

@@ -18,8 +18,10 @@
 // This is the reference and forensics engine: every option shape runs
 // here (capacity, merged buffers, partitioning, tracing, faults,
 // starvation bounds), while clean rendezvous runs take the bytecode VM
-// (runtime/vm), which replays this scheduler's rounds op for op. One
-// resume loop serves every run; its fault and watchdog hooks are a
+// (runtime/vm), which replays this scheduler's rounds op for op. Both
+// step the plan's lowered bytecode (runtime/bytecode.hpp); here each
+// process is one coroutine over its slice of the program
+// (runtime/instantiate.cpp). One resume loop serves every run; its fault and watchdog hooks are a
 // pointer or counter test each and are skipped when nothing is attached.
 // Single sends and receives keep their CommOp inline in the awaiter
 // (inside the coroutine frame — no heap allocation per communication),

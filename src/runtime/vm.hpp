@@ -1,10 +1,12 @@
 // The bytecode VM: threaded-dispatch execution of a lowered NetworkPlan
 // (runtime/bytecode.hpp), bit-identical to the coroutine interpreter
-// (runtime/scheduler). Backend::Auto runs every run the VM can take here:
-// solo or batched, with or without a round budget and cancel token.
+// (runtime/scheduler), which steps the same program. Backend::Auto runs
+// every run the VM can take here: solo or batched, with or without a
+// round budget and cancel token.
 //
-// Identity argument: the VM replicates the interpreter's observable
-// semantics op for op —
+// Identity argument: both engines run the same per-process op sequences
+// (lower_plan is the only code that derives them), and the VM replicates
+// the interpreter's scheduling semantics op for op —
 //   * the same FIFO double-buffered round structure (one round = the
 //     ready entries present at round start; initial queue = spawn order),
 //   * the same rendezvous clock math (both sides advance to

@@ -18,12 +18,16 @@ namespace systolize {
 [[nodiscard]] bool is_feasible(const Guard& guard,
                                const Guard& assumptions = Guard{});
 
-/// True iff `guard` implies constraint `c` under `assumptions`
-/// (i.e. guard /\ assumptions /\ not-c is infeasible). Used to drop
-/// redundant constraints when simplifying piecewise definitions. The
-/// negation of lhs <= rhs is approximated by rhs <= lhs - 1, which is exact
-/// for integer-valued affine forms (all of ours are integer-valued on
-/// integer points with integer coefficients).
+/// True iff `guard` implies constraint `c` under `assumptions` over the
+/// rationals (i.e. guard /\ assumptions /\ not-c has no rational
+/// solution). The negation of lhs <= rhs is the strict lhs - rhs > 0, so
+/// this is rational implication, weaker than integer implication:
+/// 2*col <= 1 implies col <= 0 on every integer point, but not at
+/// col = 1/2, and implies() says false. Used to drop redundant
+/// constraints when simplifying piecewise definitions, where a missed
+/// implication only keeps a redundant constraint; has_interior
+/// (scheme/first_last.cpp) relies on the strict meaning to call a
+/// constraint pinned only when no rational point has slack.
 [[nodiscard]] bool implies(const Guard& guard, const Constraint& c,
                            const Guard& assumptions = Guard{});
 

@@ -187,6 +187,63 @@ TEST(VerifyPlan, BadChannelReference) {
   EXPECT_NE(find_rule(rep, "channel.bad-ref"), nullptr) << rep.to_string();
 }
 
+/// A computation process whose two moving roles both receive on `s[0]`
+/// and both send on `s[1]`, in a ring with a pass process: one par set
+/// names each channel twice, so both of its receives park on one channel
+/// side, in par-entry order.
+NetworkPlan twice_named_ring() {
+  NetworkPlan plan;
+  plan.streams = {"s"};
+  plan.channels.push_back(chan("s[0]", 1, 0));
+  plan.channels.push_back(chan("s[1]", 0, 1));
+  NetworkPlan::ProcSpec comp;
+  comp.name = "comp:(0)";
+  comp.kind = NetworkPlan::ProcKind::Comp;
+  comp.count = 1;
+  comp.role_begin = 0;
+  comp.role_end = 2;
+  for (int i = 0; i < 2; ++i) {
+    NetworkPlan::RoleSpec role;
+    role.chan_in = 0;
+    role.chan_out = 1;
+    plan.roles.push_back(role);
+  }
+  plan.procs = {comp, pass("pass:(1)", 1, 0, 2)};
+  return plan;
+}
+
+TEST(VerifyPlan, ParSetNamingOneChannelTwice) {
+  NetworkPlan plan = twice_named_ring();
+  // Recorded before the verifier retired the lowered bytecode.
+  EXPECT_EQ(verify_plan(plan).to_string(),
+            "verify : 1 finding(s) \u2014 1 error(s), 0 warning(s), 0 info(s)\n"
+            "  [error] deadlock.cycle (network): the communication structure "
+            "cannot complete: 2 process(es) block forever\n"
+            "    deadlock: 3 blocked op(s); blocking cycle: comp:(0) "
+            "-[s[0]]-> pass:(1) -[s[1]]-> comp:(0)\n"
+            "      comp:(0): recv s[0] (t=0, stmts=0)\n"
+            "      comp:(0): recv s[0] (t=0, stmts=0)\n"
+            "      pass:(1): recv s[1] (t=0, stmts=0)");
+
+  // Fed by an input instead of the ring, the same par set completes.
+  plan.channels[0].sender = 2;
+  plan.procs[1] = pass("pass:(1)", 1, 2, 2);
+  plan.channels.push_back(chan("s[2]", 1, 3));
+  NetworkPlan::ProcSpec in;
+  in.name = "input:s";
+  in.kind = NetworkPlan::ProcKind::Input;
+  in.chan_out = 0;
+  in.count = 2;
+  NetworkPlan::ProcSpec out;
+  out.name = "output:s";
+  out.kind = NetworkPlan::ProcKind::Output;
+  out.chan_in = 2;
+  out.count = 2;
+  plan.procs.push_back(in);
+  plan.procs.push_back(out);
+  EXPECT_EQ(verify_plan(plan).to_string(), "verify : clean");
+}
+
 TEST(VerifyPlan, InstantiateGateRejectsACorruptedProgram) {
   Design d = design_by_name("polyprod1");
   CompiledProgram prog = compile(d.nest, d.spec);

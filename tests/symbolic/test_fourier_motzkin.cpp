@@ -74,6 +74,17 @@ TEST(FourierMotzkin, Implies) {
                        n_positive()));
 }
 
+TEST(FourierMotzkin, ImpliesIsRationalNotInteger) {
+  // Every integer col with 2*col <= 1 has col <= 0, but col = 1/2 does
+  // not: implies negates col <= 0 as the strict col > 0, which 2*col <= 1
+  // admits over the rationals. has_interior (scheme/first_last.cpp)
+  // depends on this strict negation, so deciding over the integers here
+  // would change which guards count as pinned.
+  Guard g;
+  g.add(Constraint{AffineExpr(kCol) * Rational(2), AffineExpr(1)});
+  EXPECT_FALSE(implies(g, Constraint{AffineExpr(kCol), AffineExpr(0)}));
+}
+
 TEST(FourierMotzkin, DropRedundant) {
   Guard g;
   g.add(Constraint{AffineExpr(0), AffineExpr(kCol)});

@@ -17,6 +17,20 @@ run_config() {
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
 }
 
+# Run one bench binary over a filter, print its log, and fail when the
+# binary fails or any benchmark skipped with an error. SkipWithError is
+# how a bench asserts, but under BENCHMARK_MAIN() it only prints
+# "ERROR OCCURRED" and the binary still exits 0, so the log is checked.
+bench_smoke() {
+  local bin="$1" filter="$2" log rc=0
+  log="$("${repo}/build/bench/${bin}" --benchmark_filter="${filter}" \
+    --benchmark_min_time=0.05 2>&1)" || rc=$?
+  echo "${log}"
+  if [ "${rc}" -ne 0 ] || grep -q 'ERROR OCCURRED' <<<"${log}"; then
+    echo "${bin} '${filter}' reported an error (exit ${rc})" >&2; exit 1
+  fi
+}
+
 run_config "${repo}/build"
 run_config "${repo}/build-asan" -DSYSTOLIZE_SANITIZE=ON
 
@@ -195,12 +209,10 @@ grep -q ' 0 disagreement(s)' "${asan_fuzz_log}" || {
 rm -f "${asan_fuzz_log}"
 
 echo "=== bench smoke: substrate relay chain ==="
-"${repo}/build/bench/bench_endtoend" \
-  --benchmark_filter='BM_SubstrateRelayChain/16' --benchmark_min_time=0.05
+bench_smoke bench_endtoend 'BM_SubstrateRelayChain/16'
 
 echo "=== bench smoke: template expansion ==="
-"${repo}/build/bench/bench_endtoend" \
-  --benchmark_filter='BM_PlanExpand_Matmul2/6' --benchmark_min_time=0.05
+bench_smoke bench_endtoend 'BM_PlanExpand_Matmul2/6'
 
 echo "=== cross-size differential: expanded plans checked against the enumeration oracle ==="
 ctest --test-dir "${repo}/build" --output-on-failure \
@@ -291,28 +303,22 @@ grep -q "drained, final stats" /tmp/systolize-ci-serve.log || {
 [ ! -S "${serve_sock}" ] || { echo "socket not unlinked after drain" >&2; exit 1; }
 
 echo "=== bench smoke: warm serve request ==="
-"${repo}/build/bench/bench_endtoend" \
-  --benchmark_filter='BM_ServeWarmRequest' --benchmark_min_time=0.05
+bench_smoke bench_endtoend 'BM_ServeWarmRequest'
 
 echo "=== bench smoke: static analysis + design-space search ==="
-# BM_ExploreMatmul2 doubles as a correctness assertion: it SkipWithError's
-# (non-zero exit) if the seed ever stops ranking first in its own space.
-"${repo}/build/bench/bench_endtoend" \
-  --benchmark_filter='BM_AnalyzeCost/6|BM_ExploreMatmul2' \
-  --benchmark_min_time=0.05
+# BM_ExploreMatmul2 doubles as a correctness assertion: it skips with an
+# error, which bench_smoke turns into a failure, if the seed ever stops
+# ranking first in its own space.
+bench_smoke bench_endtoend 'BM_AnalyzeCost/6|BM_ExploreMatmul2'
 
-echo "=== bench smoke: scheme compile + program verifier ==="
-# Both lean on Fourier-Motzkin. BM_VerifyProgramMatmul2 doubles as a
-# correctness assertion: it skips with an error if matmul2 stops verifying
-# clean, which the benchmark library prints but does not turn into an
-# exit code, so the log is checked.
-compile_log="$("${repo}/build/bench/bench_compile" \
-  --benchmark_filter='BM_CompileMatmul2|BM_VerifyProgramMatmul2' \
-  --benchmark_min_time=0.05 2>&1)"
-echo "${compile_log}"
-if grep -q 'ERROR OCCURRED' <<<"${compile_log}"; then
-  echo "bench_compile reported an error" >&2; exit 1
-fi
+echo "=== bench smoke: scheme compile + program and plan verifiers ==="
+# Compile and the program verifier lean on Fourier-Motzkin; the plan
+# verifier retires the lowered program next to a VM walk of the same
+# plan. BM_VerifyProgramMatmul2 and BM_VerifyPlan double as correctness
+# assertions: they skip with an error if their design stops verifying
+# clean.
+bench_smoke bench_compile \
+  'BM_CompileMatmul2|BM_VerifyProgramMatmul2|BM_VerifyPlan|BM_LowerAndWalk'
 
 echo "=== bench gate: analysis must hold the PR8 numbers ==="
 # Recorded-baseline gate: the PR8 run is the floor; "latest" resolves to
@@ -322,19 +328,17 @@ echo "=== bench gate: analysis must hold the PR8 numbers ==="
   'BM_AnalyzeCost|BM_ExploreMatmul2'
 
 echo "=== bench smoke: bytecode backend + batch sweep ==="
-"${repo}/build/bench/bench_endtoend" \
-  --benchmark_filter='BM_BytecodeVsInterp_|BM_BatchSweep/8' \
-  --benchmark_min_time=0.05
+bench_smoke bench_endtoend 'BM_BytecodeVsInterp_|BM_BatchSweep/8'
 
 echo "=== bench gate: bytecode backend must hold the PR9 numbers ==="
 "${repo}/tools/bench.sh" --compare PR9-bytecode latest 10 \
   'BM_BytecodeVsInterp|BM_BatchSweep'
 
 echo "=== bench smoke: fuzz oracle throughput ==="
-# Doubles as a correctness assertion: the bench SkipWithError's (non-zero
-# exit) if any sampled design ever produces a cross-backend disagreement.
-"${repo}/build/bench/bench_endtoend" \
-  --benchmark_filter='BM_FuzzThroughput' --benchmark_min_time=0.05
+# Doubles as a correctness assertion: the bench skips with an error, which
+# bench_smoke turns into a failure, if any sampled design ever produces a
+# cross-backend disagreement.
+bench_smoke bench_endtoend 'BM_FuzzThroughput'
 
 echo "=== bench gate: fuzz oracle must hold the PR10 numbers ==="
 "${repo}/tools/bench.sh" --compare PR10-fuzz latest 10 'BM_FuzzThroughput'
