@@ -86,6 +86,27 @@ void BM_VerifyPlan(benchmark::State& state, const std::string& design_name,
   state.counters["processes"] = static_cast<double>(plan->procs.size());
 }
 
+/// The loading-cover check (stage 4 of the static pipeline, which the run
+/// gate also proves) at one size: one walk of the iteration domain
+/// marking the stationary streams' declared boxes. Skips with an error
+/// if the design stops covering its boxes.
+void BM_LoadingCover(benchmark::State& state, const std::string& design_name,
+                     Int n) {
+  const Design design = design_by_name(design_name);
+  const CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes = sizes_for(design, n);
+  for (auto _ : state) {
+    VerifyReport report;
+    verify_loading_cover_into(report, prog, design.nest, sizes);
+    benchmark::DoNotOptimize(report);
+  }
+  VerifyReport report;
+  verify_loading_cover_into(report, prog, design.nest, sizes);
+  if (!report.findings.empty()) {
+    state.SkipWithError("the loading cover no longer holds");
+  }
+}
+
 /// Lowering plus a one-lane VM walk of the same plan: the cost the plan
 /// verifier is measured against.
 void BM_LowerAndWalk(benchmark::State& state, const std::string& design_name,
@@ -114,6 +135,12 @@ BENCHMARK_CAPTURE(BM_VerifyPlan, closure_n32, "closure", 32)
 BENCHMARK_CAPTURE(BM_VerifyPlan, matmul1_n4, "matmul1", 4)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_VerifyPlan, polyprod2_n8, "polyprod2", 8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LoadingCover, matmul1_n32, "matmul1", 32)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LoadingCover, closure_n18, "closure", 18)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LoadingCover, correlation_n112, "correlation", 112)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_LowerAndWalk, matmul2_n14, "matmul2", 14)
     ->Unit(benchmark::kMicrosecond);

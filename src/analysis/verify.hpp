@@ -24,7 +24,15 @@
 //     whether found statically or dynamically.
 //
 // Every diagnostic carries a stable rule id (docs/static-analysis.md).
+//
+// verify_design is the one order in which the levels run (the static
+// pipeline); `systolize verify`, `analyze`, the serve `verify` and
+// `analyze` ops and the run gate (InstantiateOptions::verify_plan) all go
+// through it.
 #pragma once
+
+#include <functional>
+#include <vector>
 
 #include "analysis/findings.hpp"
 #include "runtime/plan_cache.hpp"
@@ -32,6 +40,8 @@
 #include "systolic/array_spec.hpp"
 
 namespace systolize {
+
+struct CostReport;  // analysis/cost.hpp
 
 /// Symbolic checks on a raw (source program, array spec) pair. Never
 /// throws on the violations it checks for — they become findings.
@@ -63,12 +73,50 @@ void verify_loading_cover_into(VerifyReport& report,
                                const CompiledProgram& program,
                                const LoopNest& nest, const Env& sizes);
 
-/// The full pipeline on a compiled design: program-level checks, then —
-/// when those leave no errors — intern the plan at `sizes` and run the
-/// plan-level checks. No scheduler is ever constructed.
+/// Where the static pipeline takes its program and its plan from.
+struct PipelineOptions {
+  PlanShape shape;  ///< the shape of the plan stage 5 builds
+  /// When set, stage 5 takes the plan from this cache.
+  PlanCache* plan_cache = nullptr;
+  /// When set, stage 2 calls this instead of compile(nest, spec). The
+  /// serve daemon passes its compile cache, so a verify and a run share
+  /// one CompiledProgram. May throw what compile() throws.
+  std::function<const CompiledProgram&()> compile;
+};
+
+/// The static pipeline. Its stages run in this order, and it stops after
+/// the first stage that reports an error:
+///   1. the spec rules (verify_spec);
+///   2. compile — a throw becomes a compile.error finding;
+///   3. the program rules (verify_program);
+///   4. the loading cover at `sizes`;
+///   5. the plan at `sizes` — a throw here or in stage 4 becomes a
+///      plan.error finding;
+///   6. the plan rules (verify_plan).
+/// No scheduler is ever constructed. The report carries the nest's name.
+[[nodiscard]] VerifyReport verify_design(const LoopNest& nest,
+                                         const ArraySpec& spec,
+                                         const Env& sizes,
+                                         const PipelineOptions& options = {});
+
+/// Stages 3 to 6 on a compiled design (the fuzz oracle runs the spec
+/// rules and compiles itself). A non-null `plan` is the plan already
+/// built at `sizes` — the run gate's, proved without a second expansion
+/// — and replaces stage 5.
 [[nodiscard]] VerifyReport verify_design(const CompiledProgram& program,
                                          const LoopNest& nest,
                                          const Env& sizes,
-                                         const PlanShape& shape = {});
+                                         const PlanShape& shape = {},
+                                         const NetworkPlan* plan = nullptr);
+
+/// `analyze`: stages 1 to 3 of the pipeline, then the cost model
+/// (analyze_cost) at each of `sizes`, with plans of options.shape from
+/// options.plan_cache when set. `cost` is written only when the returned
+/// report has no error; a throw while costing becomes plan.error.
+[[nodiscard]] VerifyReport analyze_design(const LoopNest& nest,
+                                          const ArraySpec& spec,
+                                          const std::vector<Env>& sizes,
+                                          const PipelineOptions& options,
+                                          CostReport& cost);
 
 }  // namespace systolize

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "numeric/checked.hpp"
 #include "numeric/rat_matrix.hpp"
 #include "runtime/host.hpp"
 #include "symbolic/fourier_motzkin.hpp"
@@ -276,25 +277,6 @@ VerifyReport verify_program(const CompiledProgram& prog,
   return report;
 }
 
-VerifyReport verify_design(const CompiledProgram& prog, const LoopNest& nest,
-                           const Env& sizes, const PlanShape& shape) {
-  VerifyReport report;
-  report.design = prog.name;
-  verify_program_into(report, prog, nest);
-  if (report.errors() != 0) return report;  // plan would inherit the rot
-  verify_loading_cover_into(report, prog, nest, sizes);
-  if (report.errors() != 0) return report;
-  try {
-    std::unique_ptr<NetworkPlan> plan = build_plan(prog, nest, sizes, shape);
-    verify_plan_into(report, *plan);
-  } catch (const Error& e) {
-    report.add("plan.error", Severity::Error, "network plan",
-               std::string("interning the plan failed: ") + e.what(),
-               e.diagnostic().empty() ? "" : e.diagnostic());
-  }
-  return report;
-}
-
 void verify_loading_cover_into(VerifyReport& report,
                                const CompiledProgram& prog,
                                const LoopNest& nest, const Env& sizes) {
@@ -314,22 +296,46 @@ void verify_loading_cover_into(VerifyReport& report,
       if (s.name() == sp.name) stream = &s;
     }
     if (stream == nullptr) continue;  // flow.consistency already fired
-    std::set<IntVec, IntVecLess> image;
-    for (const IntVec& x : nest.enumerate_index_space(sizes)) {
-      image.insert(stream->element_of(x));
+    // The iteration domain as a box, checked as enumerating it is.
+    (void)nest.index_space_size(sizes);
+    Box space;
+    for (const auto& [lb, rb] : nest.concrete_bounds(sizes)) {
+      space.lower.push_back(lb);
+      space.extent.push_back(rb - lb + 1);
     }
-    const std::vector<IntVec> box = IndexedStore::domain(*stream, sizes);
-    bool covered = image.size() == box.size();
-    for (std::size_t i = 0; covered && i < box.size(); ++i) {
-      covered = image.contains(box[i]);
-    }
-    if (!covered) {
+    const IntMatrix& map = stream->index_map();
+    // One byte per cell of the declared box, row-major; image points
+    // outside the box are kept apart so the image's size stays exact.
+    const Box box = declared_box(*stream, sizes);
+    std::size_t volume = 1;
+    for (const Int e : box.extent) volume *= static_cast<std::size_t>(e);
+    std::vector<char> marked(volume, 0);
+    std::size_t inside = 0;
+    std::set<IntVec, IntVecLess> outside;
+    IntVec image(map.rows());
+    for_each_point(space, [&](const IntVec& x) {
+      for (std::size_t r = 0; r < map.rows(); ++r) {
+        Int acc = 0;
+        for (std::size_t c = 0; c < map.cols(); ++c) {
+          acc = checked_add(acc, checked_mul(map.at(r, c), x[c]));
+        }
+        image[r] = acc;
+      }
+      const Int offset = offset_in(box, image);
+      if (offset < 0) {
+        outside.insert(image);
+      } else if (marked[static_cast<std::size_t>(offset)] == 0) {
+        marked[static_cast<std::size_t>(offset)] = 1;
+        ++inside;
+      }
+    });
+    if (inside != volume || !outside.empty()) {
       report.add("flow.loading-cover", Severity::Error, sp.name,
                  "stationary stream's declared element box (" +
-                     std::to_string(box.size()) +
+                     std::to_string(volume) +
                      " elements) is not exactly the index-map image of "
                      "the iteration domain (" +
-                     std::to_string(image.size()) +
+                     std::to_string(inside + outside.size()) +
                      " elements) — the loading & recovery pipelines "
                      "would deposit elements into the wrong cells");
     }

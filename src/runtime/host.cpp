@@ -55,8 +55,8 @@ std::string box_text(const Box& box) {
   return out;
 }
 
-/// Row-major offset of `p` inside `box`, or -1 when `p` lies outside it
-/// (or has another dimension).
+}  // namespace
+
 Int offset_in(const Box& box, const IntVec& p) noexcept {
   const std::vector<Int>& x = p.comps();
   if (x.size() != box.extent.size()) return -1;
@@ -72,8 +72,6 @@ Int offset_in(const Box& box, const IntVec& p) noexcept {
   }
   return off;
 }
-
-}  // namespace
 
 Box declared_box(const Stream& s, const Env& env) {
   Box box;

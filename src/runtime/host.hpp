@@ -26,6 +26,10 @@ struct Box {
 /// is empty.
 [[nodiscard]] Box declared_box(const Stream& s, const Env& env);
 
+/// Row-major offset of `p` inside `box`, or -1 when `p` lies outside it
+/// (or has another dimension).
+[[nodiscard]] Int offset_in(const Box& box, const IntVec& p) noexcept;
+
 /// Calls f(p) for every point p of `box` in row-major order, reusing one
 /// index vector.
 template <class F>

@@ -38,11 +38,10 @@ std::string bytecode_blocker(const InstantiateOptions& options) {
   return {};
 }
 
-// The plan a dispatch runs: served from the cache (or built), exported
-// to `options.network`, passed through the static verification gate, and
-// described in `metrics` (shape, cache outcome). The shared_ptr pins a
-// cached plan for the whole run: LRU eviction by a concurrent lookup must
-// not free it under us.
+// The plan a dispatch runs: served from the cache (or built), passed
+// through the static verification gate, and described in `metrics`
+// (shape, cache outcome). The shared_ptr pins a cached plan for the whole
+// run: LRU eviction by a concurrent lookup must not free it under us.
 std::shared_ptr<const NetworkPlan> prepare_plan(
     const CompiledProgram& program, const LoopNest& nest, const Env& sizes,
     const InstantiateOptions& options, RunMetrics& metrics) {
@@ -59,13 +58,12 @@ std::shared_ptr<const NetworkPlan> prepare_plan(
   } else {
     plan = build_plan(program, nest, sizes, shape);
   }
-  if (options.network != nullptr) *options.network = plan->graph;
-
   if (options.verify_plan) {
-    // Static verification gate: prove the schedule, guards and channel
-    // structure sound before a single process is spawned.
-    VerifyReport rep = verify_program(program, nest);
-    verify_plan_into(rep, *plan);
+    // Static verification gate: the static pipeline's proof of the
+    // schedule, guards, loading cover and channel structure, on the plan
+    // about to run, before a single process is spawned.
+    const VerifyReport rep =
+        verify_design(program, nest, sizes, shape, plan.get());
     if (rep.errors() != 0) {
       raise(ErrorKind::Validation,
             "static plan verification failed:\n" + rep.to_string(),
@@ -285,7 +283,7 @@ Task process_body(Ctx ctx, const InterpRun* run, std::uint32_t pi) {
         ctx.tick_statement();
         if (run->trace != nullptr) {
           run->trace->statements.push_back(StatementEvent{
-              plan.procs[pi].coords, loop_iter, ctx.process().time()});
+              plan.procs[pi].place, loop_iter, ctx.process().time()});
         }
         x += plan.increment;
         break;

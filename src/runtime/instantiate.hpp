@@ -12,7 +12,6 @@
 
 #include "runtime/faults.hpp"
 #include "runtime/host.hpp"
-#include "runtime/network.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/trace.hpp"
@@ -47,9 +46,6 @@ struct InstantiateOptions {
   bool merge_internal_buffers = false;
   /// When non-null, every basic-statement execution is appended here.
   Trace* trace = nullptr;
-  /// When non-null, the instantiated topology (processes and channels) is
-  /// recorded here for inspection / Graphviz export.
-  NetworkGraph* network = nullptr;
   /// Partitioning (the paper's Sect.-8 extension via its ref. [23]):
   /// number of physical processors per process-space dimension. Empty
   /// means one processor per process. Processes in the same block are
@@ -82,10 +78,11 @@ struct InstantiateOptions {
   /// integer arithmetic (and memoized under an LRU byte budget). The
   /// cache must outlive the call.
   PlanCache* plan_cache = nullptr;
-  /// Run the static verifier (src/analysis) on the program and the
-  /// interned plan before spawning anything; error findings raise
-  /// Error(Validation) with the verify report as message and its JSON as
-  /// the diagnostic payload. Costs zero scheduler rounds.
+  /// Prove the program rules, the loading cover and the plan rules of the
+  /// static pipeline (analysis/verify.hpp) on the plan before spawning
+  /// anything; error findings raise Error(Validation) with the verify
+  /// report as message and its JSON as the diagnostic payload. Costs zero
+  /// scheduler rounds.
   bool verify_plan = false;
   /// Execution engine selection (see Backend).
   Backend backend = Backend::Auto;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
+
+#include "runtime/plan_cache.hpp"
 
 namespace systolize {
 
@@ -11,6 +12,29 @@ std::size_t NetworkGraph::count(NodeKind kind) const {
   return static_cast<std::size_t>(
       std::count_if(nodes.begin(), nodes.end(),
                     [kind](const Node& n) { return n.kind == kind; }));
+}
+
+NetworkGraph network_graph(const NetworkPlan& plan) {
+  using Kind = NetworkGraph::NodeKind;
+  // Indexed by NetworkPlan::ProcKind: Input, Output, Pass, Comp.
+  constexpr Kind kKind[] = {Kind::Input, Kind::Output, Kind::Buffer,
+                            Kind::Computation};
+  NetworkGraph graph;
+  std::vector<char> seen(plan.procs.size(), 0);
+  for (const NetworkPlan::ChannelSpec& c : plan.channels) {
+    if (c.sender < 0 || c.receiver < 0) continue;
+    const auto from = static_cast<std::size_t>(c.sender);
+    const auto to = static_cast<std::size_t>(c.receiver);
+    for (const std::size_t id : {from, to}) {
+      if (seen[id] != 0) continue;
+      seen[id] = 1;
+      const NetworkPlan::ProcSpec& p = plan.procs[id];
+      graph.nodes.push_back({p.name, kKind[static_cast<int>(p.kind)]});
+    }
+    graph.edges.push_back({plan.procs[from].name, plan.procs[to].name,
+                           c.name, plan.streams[c.stream]});
+  }
+  return graph;
 }
 
 std::string to_dot(const NetworkGraph& graph) {

@@ -27,20 +27,12 @@ std::size_t NetworkPlan::memory_bytes() const {
   for (const ChannelSpec& c : channels) n += bytes_of(c.name);
   n += procs.capacity() * sizeof(ProcSpec);
   for (const ProcSpec& p : procs) {
-    n += bytes_of(p.name) + bytes_of(p.first_x) + bytes_of(p.coords) +
-         bytes_of(p.place);
+    n += bytes_of(p.name) + bytes_of(p.first_x) + bytes_of(p.place);
   }
   n += roles.capacity() * sizeof(RoleSpec);
   n += elems.capacity() * sizeof(IntVec);
   for (const IntVec& e : elems) n += bytes_of(e);
   n += bytes_of(increment) + bytes_of(ps_min) + bytes_of(ps_max);
-  n += graph.nodes.capacity() * sizeof(NetworkGraph::Node);
-  for (const NetworkGraph::Node& node : graph.nodes) n += bytes_of(node.name);
-  n += graph.edges.capacity() * sizeof(NetworkGraph::Edge);
-  for (const NetworkGraph::Edge& e : graph.edges) {
-    n += bytes_of(e.from) + bytes_of(e.to) + bytes_of(e.channel) +
-         bytes_of(e.stream);
-  }
   return n;
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "runtime/host.hpp"
-#include "runtime/network.hpp"
 #include "scheme/types.hpp"
 
 namespace systolize {
@@ -87,8 +86,7 @@ struct NetworkPlan {
     /// Comp: this process's stream roles as a slice of `roles`.
     std::size_t role_begin = 0, role_end = 0;
     IntVec first_x;  ///< Comp: first statement of the chord
-    IntVec coords;   ///< Comp: the PS point (trace identity)
-    IntVec place;    ///< PS point the process sits at
+    IntVec place;    ///< PS point the process sits at (Comp: its identity)
   };
 
   std::vector<std::string> streams;   ///< stream names, by stream id
@@ -103,10 +101,9 @@ struct NetworkPlan {
   std::size_t io_count = 0;
   std::size_t buffer_count = 0;
   IntVec ps_min, ps_max;          ///< PS box (partition blocks)
-  NetworkGraph graph;             ///< topology, built once
 
-  /// Approximate deep heap footprint (vectors, strings, the graph) —
-  /// the byte currency of PlanCache's LRU accounting.
+  /// Approximate deep heap footprint (vectors and strings) — the byte
+  /// currency of PlanCache's LRU accounting.
   [[nodiscard]] std::size_t memory_bytes() const;
 };
 

@@ -404,8 +404,8 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
   }
 
   // CS membership per box point: the repeater's `first` cover. Also cache
-  // each point's rendering — every process/node name embeds it, several
-  // times across streams and roles.
+  // each point's rendering — every process name embeds it, several times
+  // across streams and roles.
   std::vector<char> in_cs(box.size(), 0);
   std::vector<std::string> point_str(box.size());
   for (std::size_t k = 0; k < box.size(); ++k) {
@@ -422,11 +422,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
   };
   const std::size_t nstreams = tmpl.streams.size();
   std::vector<Port> ports(box.size() * nstreams);
-
-  NetworkGraph& net = plan.graph;
-  // The only name a plan visits twice is a computation node (once per
-  // stream); a seen-flag per box point adds it to the graph once.
-  std::vector<char> comp_node_seen(box.size(), 0);
 
   auto add_channel = [&](std::string name, std::uint32_t stream,
                          Int capacity) -> std::int32_t {
@@ -528,19 +523,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
           add_channel(chan_name(0), stream_id, shape.channel_capacity);
       const std::int32_t head = prev;
       std::size_t link = 1;
-      const std::string in_name = st.in_prefix + point_str[ai];
-      net.nodes.push_back(
-          NetworkGraph::Node{in_name, NetworkGraph::NodeKind::Input});
-      std::string last_node = in_name;
-      // Every name funnelled through here is new; computation nodes, the
-      // one repeated name, are handled at their use site.
-      auto link_node = [&](std::string node, NetworkGraph::NodeKind kind,
-                           std::int32_t via) {
-        net.edges.push_back(NetworkGraph::Edge{
-            std::move(last_node), node, plan.channels[via].name, st.name});
-        last_node = std::move(node);
-        net.nodes.push_back(NetworkGraph::Node{last_node, kind});
-      };
       auto add_pass = [&](std::string name, std::int32_t in,
                           std::int32_t out, const IntVec& y) {
         auto id = static_cast<std::int32_t>(plan.procs.size());
@@ -564,30 +546,17 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
         for (Int bi = 0; bi < inner_buffers; ++bi) {
           std::int32_t next = add_channel(chan_name(link++), stream_id,
                                           shape.channel_capacity);
-          std::string bname =
-              st.buf_prefix + point_str[k] + "#" + std::to_string(bi);
-          add_pass(bname, prev, next, y);
-          link_node(std::move(bname), NetworkGraph::NodeKind::Buffer, prev);
+          add_pass(st.buf_prefix + point_str[k] + "#" + std::to_string(bi),
+                   prev, next, y);
           prev = next;
         }
         std::int32_t next =
             add_channel(chan_name(link++), stream_id, hop_capacity);
         if (in_cs[k] != 0) {
           ports[k * nstreams + stream_id] = Port{prev, next, count};
-          std::string cnode = "comp:" + point_str[k];
-          net.edges.push_back(NetworkGraph::Edge{
-              std::move(last_node), cnode, plan.channels[prev].name, st.name});
-          last_node = std::move(cnode);
-          if (comp_node_seen[k] == 0) {
-            comp_node_seen[k] = 1;
-            net.nodes.push_back(NetworkGraph::Node{
-                last_node, NetworkGraph::NodeKind::Computation});
-          }
         } else {
           // External buffer process: pass the whole pipeline (Eq. 10).
-          std::string xname = st.xbuf_prefix + point_str[k];
-          add_pass(xname, prev, next, y);
-          link_node(std::move(xname), NetworkGraph::NodeKind::Buffer, prev);
+          add_pass(st.xbuf_prefix + point_str[k], prev, next, y);
         }
         prev = next;
       }
@@ -596,7 +565,7 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       {
         auto id = static_cast<std::int32_t>(plan.procs.size());
         NetworkPlan::ProcSpec spec;
-        spec.name = in_name;
+        spec.name = st.in_prefix + point_str[ai];
         spec.kind = NetworkPlan::ProcKind::Input;
         spec.clock = clock_for(a);
         spec.stream = stream_id;
@@ -610,10 +579,9 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       }
       {
         const IntVec& tail = box[points.back()];
-        std::string out_name = st.out_prefix + point_str[points.back()];
         auto id = static_cast<std::int32_t>(plan.procs.size());
         NetworkPlan::ProcSpec spec;
-        spec.name = out_name;
+        spec.name = st.out_prefix + point_str[points.back()];
         spec.kind = NetworkPlan::ProcKind::Output;
         spec.clock = clock_for(tail);
         spec.stream = stream_id;
@@ -624,7 +592,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
         spec.place = tail;
         plan.procs.push_back(std::move(spec));
         plan.channels[prev].receiver = id;
-        link_node(std::move(out_name), NetworkGraph::NodeKind::Output, prev);
       }
       plan.io_count += 2;
       ++pipe_idx;
@@ -652,7 +619,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       });
     }
     spec.first_x = std::move(first_x);
-    spec.coords = y;
     spec.place = y;
     spec.role_begin = plan.roles.size();
     for (std::uint32_t stream_id = 0; stream_id < nstreams; ++stream_id) {

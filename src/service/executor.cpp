@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <new>
+#include <optional>
 #include <sstream>
 
 #include "analysis/cost.hpp"
 #include "analysis/verify.hpp"
-#include "baseline/sequential.hpp"
 #include "frontend/parser.hpp"
 #include "runtime/instantiate.hpp"
 #include "scheme/compiler.hpp"
+#include "service/checked_run.hpp"
 #include "service/json.hpp"
 #include "service/request_queue.hpp"
 #include "support/error.hpp"
@@ -19,33 +20,26 @@ namespace systolize::service {
 
 namespace {
 
-Env sizes_of(const Design& design, const Request& req) {
-  Env sizes;
-  for (const Symbol& s : design.nest.sizes()) {
-    if (s.name() == "m") {
-      sizes["m"] = Rational(req.m);
-    } else {
-      sizes[s.name()] = Rational(req.n);
-    }
-  }
-  return sizes;
+
+/// The compile cache's key: inline source keys on the text itself,
+/// catalog designs on the name.
+std::string compile_key(const Request& req) {
+  return req.source.empty() ? "design:" + req.design : "source:" + req.source;
 }
 
-PlanShape shape_of(const Design& design, const Request& req) {
-  PlanShape shape;
-  shape.channel_capacity = req.capacity;
-  shape.merge_internal_buffers = req.merge_buffers;
-  if (req.partition > 0) {
-    std::vector<Int> comps(design.nest.depth() - 1, req.partition);
-    shape.partition_grid = IntVec(comps);
-  }
-  return shape;
+/// The request's design: the catalog's, or its inline source parsed.
+Design design_of(const Request& req) {
+  return req.source.empty() ? design_by_name(req.design)
+                            : frontend::parse_design(req.source);
 }
 
-Backend backend_of(const Request& req) {
-  if (req.backend == "interp") return Backend::Interp;
-  if (req.backend == "bytecode") return Backend::Bytecode;
-  return Backend::Auto;  // parse_request already rejected anything else
+Response ok_response(const Request& req, std::string verdict) {
+  Response r;
+  r.id = req.id;
+  r.op = req.op;
+  r.status = "ok";
+  r.verdict = std::move(verdict);
+  return r;
 }
 
 Response error_response(const Request& req, const Error& e, Int retries) {
@@ -97,28 +91,29 @@ Executor::Executor(ExecutorConfig config)
                             config.recovery_successes},
           plan_cache_) {}
 
+std::shared_ptr<const Executor::CompiledEntry> Executor::cached_locked(
+    const std::string& key) {
+  auto it = compiled_.find(key);
+  if (it == compiled_.end()) return nullptr;
+  std::lock_guard<std::mutex> slock(stats_mu_);
+  ++compile_cache_hits_;
+  return it->second;
+}
+
 std::shared_ptr<const Executor::CompiledEntry> Executor::compiled_for(
-    const Request& req, bool* cached) {
-  // Inline source keys on the text itself, catalog designs on the name.
+    const Request& req, bool* cached, const Design* parsed) {
   // The compile happens under the lock: compilation is cheap (symbolic,
   // no network construction) and a single cached CompiledProgram per key
   // is what keeps its generation — and with it the PlanCache template —
   // stable across requests.
-  const std::string key =
-      req.source.empty() ? "design:" + req.design : "source:" + req.source;
+  const std::string key = compile_key(req);
   std::lock_guard<std::mutex> lock(compile_mu_);
-  auto it = compiled_.find(key);
-  if (it != compiled_.end()) {
+  if (auto hit = cached_locked(key)) {
     if (cached != nullptr) *cached = true;
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++compile_cache_hits_;
-    }
-    return it->second;
+    return hit;
   }
   if (cached != nullptr) *cached = false;
-  Design design = req.source.empty() ? design_by_name(req.design)
-                                     : frontend::parse_design(req.source);
+  Design design = parsed != nullptr ? *parsed : design_of(req);
   CompiledProgram prog = compile(design.nest, design.spec);
   auto entry =
       std::make_shared<CompiledEntry>(std::move(design), std::move(prog));
@@ -167,36 +162,25 @@ void Executor::count_outcome(const Response& r) {
 }
 
 Response Executor::dispatch(const Request& req) {
-  Response r;
-  r.id = req.id;
-  r.op = req.op;
   if (req.op == "ping" || req.op == "shutdown") {
-    r.status = "ok";
-    r.verdict = "success";
-    return r;
+    return ok_response(req, "success");
   }
   if (req.op == "stats") {
-    r.status = "ok";
-    r.verdict = "success";
+    Response r = ok_response(req, "success");
     r.data_json = stats_json();
     return r;
   }
   if (req.op == "compile") return handle_compile(req);
   if (req.op == "expand") return handle_expand(req);
   if (req.op == "run") return handle_run(req);
-  if (req.op == "verify") return handle_verify(req);
-  if (req.op == "analyze") return handle_analyze(req);
+  if (req.op == "verify" || req.op == "analyze") return handle_static(req);
   raise(ErrorKind::Validation, "unknown op \"" + req.op + "\"");
 }
 
 Response Executor::handle_compile(const Request& req) {
   bool cached = false;
   auto ce = compiled_for(req, &cached);
-  Response r;
-  r.id = req.id;
-  r.op = req.op;
-  r.status = "ok";
-  r.verdict = "success";
+  Response r = ok_response(req, "success");
   std::ostringstream data;
   data << "{\"name\":" << json_quote(ce->prog.name)
        << ",\"generation\":" << ce->prog.generation
@@ -208,15 +192,13 @@ Response Executor::handle_compile(const Request& req) {
 
 Response Executor::handle_expand(const Request& req) {
   auto ce = compiled_for(req, nullptr);
-  Env sizes = sizes_of(ce->design, req);
+  const LoopNest& nest = ce->design.nest;
   PlanCache::LookupStats stats;
-  auto plan = plan_cache_.lookup_or_build(ce->prog, ce->design.nest, sizes,
-                                          shape_of(ce->design, req), &stats);
-  Response r;
-  r.id = req.id;
-  r.op = req.op;
-  r.status = "ok";
-  r.verdict = "success";
+  auto plan = plan_cache_.lookup_or_build(
+      ce->prog, nest, sizes_of(nest, req.n, req.m),
+      plan_shape(nest, req.capacity, req.merge_buffers, req.partition),
+      &stats);
+  Response r = ok_response(req, "success");
   std::ostringstream data;
   data << "{\"processes\":" << plan->procs.size()
        << ",\"channels\":" << plan->channels.size()
@@ -230,161 +212,71 @@ Response Executor::handle_expand(const Request& req) {
 }
 
 InstantiateOptions Executor::run_options(const Design& design,
-                                        const Request& req,
-                                        DeadlineTimer& deadline) {
-  const PlanShape shape = shape_of(design, req);
-  InstantiateOptions iopt;
-  iopt.channel_capacity = shape.channel_capacity;
-  iopt.merge_internal_buffers = shape.merge_internal_buffers;
-  iopt.partition_grid = shape.partition_grid;
+                                        const Request& req) {
+  InstantiateOptions iopt = shaped_options(plan_shape(
+      design.nest, req.capacity, req.merge_buffers, req.partition));
   iopt.plan_cache = &plan_cache_;
-  iopt.backend = backend_of(req);
+  // parse_request already rejected any other name.
+  iopt.backend = backend_named(req.backend).value_or(Backend::Auto);
   if (req.threads > 1) {
     iopt.threads = static_cast<unsigned>(req.threads);
     iopt.worker_pool = &pool_;
   }
   iopt.watchdog.max_rounds =
       req.round_budget > 0 ? req.round_budget : config_.default_round_budget;
-  const Int wall_ms = req.wall_timeout_ms > 0 ? req.wall_timeout_ms
-                                              : config_.default_wall_timeout_ms;
-  if (wall_ms > 0) {
-    deadline.arm(wall_ms);
-    iopt.watchdog.cancel = deadline.token();
-    iopt.watchdog.cancel_kind = ErrorKind::Timeout;
-    iopt.watchdog.cancel_reason =
-        "wall-clock deadline of " + std::to_string(wall_ms) + "ms exceeded";
-  }
   return iopt;
 }
 
-Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
-  Env sizes = sizes_of(ce.design, req);
-  DeadlineTimer deadline;
-  InstantiateOptions iopt = run_options(ce.design, req, deadline);
-  FaultPlan plan;
-  if (!req.inject.empty()) {
-    plan = FaultPlan::parse(req.inject);
-    iopt.faults = &plan;
-  }
+Int Executor::wall_ms(const Request& req) const {
+  return req.wall_timeout_ms > 0 ? req.wall_timeout_ms
+                                 : config_.default_wall_timeout_ms;
+}
 
+Response Executor::faulted_attempt(const CompiledEntry& ce,
+                                   const Request& req) {
+  // Faulted batches have per-instance semantics: a kill is a verdict for
+  // ONE instance, never for the batch. Each instance replays on its own
+  // with a derived fault seed, and the data payload carries a verdict per
+  // instance.
   const std::size_t batch = static_cast<std::size_t>(req.batch);
-
-  if (batch > 1 && iopt.faults != nullptr) {
-    // Faulted batches have per-instance semantics: a kill is a verdict
-    // for ONE instance, never for the batch. Replay each instance
-    // through the interpreter with its own derived fault seed and report
-    // a verdict per instance in the data payload.
-    std::ostringstream instances;
-    std::size_t failures = 0;
-    Int faults_total = 0;
-    for (std::size_t b = 0; b < batch; ++b) {
-      FaultPlan per_plan = FaultPlan::parse(req.inject);
-      per_plan.set_seed(per_plan.seed() + b);
-      InstantiateOptions per = iopt;
-      per.faults = &per_plan;
-      IndexedStore store =
-          make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b));
-      std::string verdict = "success";
-      std::string detail;
-      try {
-        RunMetrics m =
-            execute(ce.prog, ce.design.nest, sizes, store, per);
-        faults_total += m.faults_injected;
-        if (req.verify) {
-          IndexedStore expected =
-              make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b));
-          run_sequential(ce.design.nest, sizes, expected);
-          const std::string diff =
-              first_divergence(ce.design.nest, expected, store);
-          if (!diff.empty()) {
-            verdict = "Inconsistent";
-            detail = "differential check failed for " + diff;
-            ++failures;
-          }
-        }
-      } catch (const Error& e) {
-        verdict = error_kind_name(e.kind());
-        const std::string what = e.what();
-        detail = what.substr(0, what.find('\n'));
+  const LoopNest& nest = ce.design.nest;
+  const std::vector<InstanceRun> runs = run_faulted(
+      ce.prog, nest, sizes_of(nest, req.n, req.m), batch,
+      FaultPlan::parse(req.inject), run_options(ce.design, req),
+      wall_ms(req), req.verify);
+  std::ostringstream instances;
+  std::size_t failures = 0;
+  Int faults_total = 0;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const InstanceRun& run = runs[b];
+    std::string verdict = "success";
+    std::string detail;
+    if (run.error.has_value()) {
+      verdict = error_kind_name(run.error->kind());
+      const std::string what = run.error->what();
+      detail = what.substr(0, what.find('\n'));
+      ++failures;
+    } else {
+      faults_total += run.metrics.faults_injected;
+      if (!run.divergence.empty()) {
+        verdict = "Inconsistent";
+        detail = "differential check failed for " + run.divergence;
         ++failures;
       }
-      if (b != 0) instances << ',';
-      instances << "{\"instance\":" << b << ",\"verdict\":"
-                << json_quote(verdict);
-      if (!detail.empty()) instances << ",\"message\":" << json_quote(detail);
-      instances << '}';
     }
-    deadline.disarm();
-    Response r;
-    r.id = req.id;
-    r.op = req.op;
-    r.status = "ok";
-    r.verdict = failures == 0 ? "success" : "instance-failures";
-    std::ostringstream data;
-    data << "{\"batch\":" << batch << ",\"failures\":" << failures
-         << ",\"faults_injected\":" << faults_total << ",\"instances\":["
-         << instances.str() << "]}";
-    r.data_json = data.str();
-    return r;
+    if (b != 0) instances << ',';
+    instances << "{\"instance\":" << b << ",\"verdict\":"
+              << json_quote(verdict);
+    if (!detail.empty()) instances << ",\"message\":" << json_quote(detail);
+    instances << '}';
   }
-
-  if (batch > 1) {
-    std::vector<IndexedStore> stores;
-    stores.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      stores.push_back(
-          make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b)));
-    }
-    RunMetrics metrics = execute_batch(ce.prog, ce.design.nest, sizes,
-                                       stores.data(), batch, iopt);
-    deadline.disarm();
-    note_run_metrics(metrics);
-    if (req.verify) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        IndexedStore expected =
-            make_seeded_store(ce.design.nest, sizes, static_cast<Int>(b));
-        run_sequential(ce.design.nest, sizes, expected);
-        const std::string diff =
-            first_divergence(ce.design.nest, expected, stores[b]);
-        if (!diff.empty()) {
-          raise(ErrorKind::Inconsistent,
-                "differential check failed for instance " +
-                    std::to_string(b) + ", " + diff +
-                    " (batched run disagrees with sequential baseline)");
-        }
-      }
-    }
-    Response r;
-    r.id = req.id;
-    r.op = req.op;
-    r.status = "ok";
-    r.verdict = "success";
-    r.metrics_json = metrics.to_json();
-    return r;
-  }
-
-  IndexedStore store = make_seeded_store(ce.design.nest, sizes);
-  RunMetrics metrics = execute(ce.prog, ce.design.nest, sizes, store, iopt);
-  deadline.disarm();
-  note_run_metrics(metrics);
-
-  if (req.verify) {
-    IndexedStore expected = make_seeded_store(ce.design.nest, sizes);
-    run_sequential(ce.design.nest, sizes, expected);
-    const std::string diff = first_divergence(ce.design.nest, expected, store);
-    if (!diff.empty()) {
-      raise(ErrorKind::Inconsistent,
-            "differential check failed for " + diff +
-                " (parallel run disagrees with sequential baseline)");
-    }
-  }
-
-  Response r;
-  r.id = req.id;
-  r.op = req.op;
-  r.status = "ok";
-  r.verdict = "success";
-  r.metrics_json = metrics.to_json();
+  Response r =
+      ok_response(req, failures == 0 ? "success" : "instance-failures");
+  std::ostringstream data;
+  data << "{\"batch\":" << batch << ",\"failures\":" << failures
+       << ",\"faults_injected\":" << faults_total << ",\"instances\":["
+       << instances.str() << "]}";
+  r.data_json = data.str();
   return r;
 }
 
@@ -402,7 +294,16 @@ std::vector<Response> Executor::handle_group(
   if (reqs.empty()) return {};
   if (reqs.size() == 1) return {handle(reqs.front())};
   try {
-    std::vector<Response> rs = group_attempt(reqs);
+    if (reqs.front().fail_attempts > 0) {
+      // The solo path's transient-failure hook (handle_run): the group
+      // attempt has no retry loop of its own, so an injected failure
+      // always faults the whole batch and exercises the fall-back below —
+      // every member re-runs independently through the full retry
+      // machinery.
+      raise(ErrorKind::Io, "injected transient failure (test hook), group");
+    }
+    std::vector<Response> rs =
+        run_group(*compiled_for(reqs.front(), nullptr), reqs);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       for (const Request& req : reqs) ++op_counts_[req.op];
@@ -423,79 +324,58 @@ std::vector<Response> Executor::handle_group(
   }
 }
 
-std::vector<Response> Executor::group_attempt(
-    const std::vector<Request>& reqs) {
+std::vector<Response> Executor::run_group(const CompiledEntry& ce,
+                                          const std::vector<Request>& reqs) {
   const Request& proto = reqs.front();
-  if (proto.fail_attempts > 0) {
-    // The solo path's transient-failure hook (handle_run): the group
-    // attempt has no retry loop of its own, so an injected failure always
-    // faults the whole batch and exercises handle_group's fall-back —
-    // every member re-runs independently through the full retry
-    // machinery.
-    raise(ErrorKind::Io, "injected transient failure (test hook), group");
+  InstantiateOptions iopt = run_options(ce.design, proto);
+  FaultPlan faults;  // the queue never coalesces faulted requests
+  if (!proto.inject.empty()) {
+    faults = FaultPlan::parse(proto.inject);
+    iopt.faults = &faults;
   }
-  auto ce = compiled_for(proto, nullptr);
-  Env sizes = sizes_of(ce->design, proto);
-
   // Lanes are request-major: request j's instances are contiguous, each
   // seeded exactly as they would be in a solo run of that request — a
   // coalesced response is bit-identical to an uncoalesced one.
-  std::size_t lanes = 0;
-  for (const Request& r : reqs) lanes += static_cast<std::size_t>(r.batch);
-  std::vector<IndexedStore> stores;
-  stores.reserve(lanes);
+  std::vector<Int> instances;
   for (const Request& r : reqs) {
-    for (Int b = 0; b < r.batch; ++b) {
-      stores.push_back(make_seeded_store(ce->design.nest, sizes, b));
+    for (Int b = 0; b < r.batch; ++b) instances.push_back(b);
+  }
+  const LoopNest& nest = ce.design.nest;
+  const CheckedRun run =
+      run_checked(ce.prog, nest, sizes_of(nest, proto.n, proto.m), instances,
+                  iopt, wall_ms(proto), proto.verify);
+  note_run_metrics(run.metrics);
+  for (std::size_t lane = 0; lane < instances.size(); ++lane) {
+    const std::string& diff = run.divergence[lane];
+    if (diff.empty()) continue;
+    if (reqs.size() > 1) {
+      raise(ErrorKind::Inconsistent,
+            "differential check failed for coalesced lane " +
+                std::to_string(lane) + ", " + diff);
     }
+    if (proto.batch > 1) {
+      raise(ErrorKind::Inconsistent,
+            "differential check failed for instance " +
+                std::to_string(lane) + ", " + diff +
+                " (batched run disagrees with sequential baseline)");
+    }
+    raise(ErrorKind::Inconsistent,
+          "differential check failed for " + diff +
+              " (parallel run disagrees with sequential baseline)");
   }
 
-  DeadlineTimer deadline;
-  const InstantiateOptions iopt = run_options(ce->design, proto, deadline);
-  RunMetrics metrics = execute_batch(ce->prog, ce->design.nest, sizes,
-                                     stores.data(), lanes, iopt);
-  deadline.disarm();
-  note_run_metrics(metrics);
-
-  if (proto.verify) {
-    // Only req.batch distinct seedings exist across the group; verify
-    // each distinct instance index once against the sequential baseline,
-    // then compare every lane against its index's expectation.
-    std::map<Int, IndexedStore> expected_by_instance;
-    std::size_t lane = 0;
-    for (const Request& r : reqs) {
-      for (Int b = 0; b < r.batch; ++b, ++lane) {
-        auto it = expected_by_instance.find(b);
-        if (it == expected_by_instance.end()) {
-          IndexedStore expected =
-              make_seeded_store(ce->design.nest, sizes, b);
-          run_sequential(ce->design.nest, sizes, expected);
-          it = expected_by_instance.emplace(b, std::move(expected)).first;
-        }
-        const std::string diff =
-            first_divergence(ce->design.nest, it->second, stores[lane]);
-        if (!diff.empty()) {
-          raise(ErrorKind::Inconsistent,
-                "differential check failed for coalesced lane " +
-                    std::to_string(lane) + ", " + diff);
-        }
-      }
-    }
+  std::string coalesced;  // a solo request's response carries none
+  if (reqs.size() > 1) {
+    coalesced = "{\"coalesced\":true,\"group\":" +
+                std::to_string(reqs.size()) +
+                ",\"lanes\":" + std::to_string(instances.size()) + "}";
   }
-
-  std::ostringstream coalesced;
-  coalesced << "{\"coalesced\":true,\"group\":" << reqs.size()
-            << ",\"lanes\":" << lanes << '}';
   std::vector<Response> rs;
   rs.reserve(reqs.size());
   for (const Request& req : reqs) {
-    Response r;
-    r.id = req.id;
-    r.op = req.op;
-    r.status = "ok";
-    r.verdict = "success";
-    r.metrics_json = metrics.to_json();
-    r.data_json = coalesced.str();
+    Response r = ok_response(req, "success");
+    r.metrics_json = run.metrics.to_json();
+    r.data_json = coalesced;
     rs.push_back(std::move(r));
   }
   return rs;
@@ -511,7 +391,11 @@ Response Executor::handle_run(const Request& req) {
               "injected transient failure (test hook), attempt " +
                   std::to_string(attempt));
       }
-      Response r = run_attempt(*ce, req);
+      // A faulted batch replays instance by instance; anything else runs
+      // as a group of one.
+      Response r = req.batch > 1 && !req.inject.empty()
+                       ? faulted_attempt(*ce, req)
+                       : run_group(*ce, {req}).front();
       r.retries = attempt;
       if (attempt > 0) r.verdict = "retried-success";
       degradation_.on_success();
@@ -540,59 +424,42 @@ Response Executor::handle_run(const Request& req) {
   }
 }
 
-Response Executor::handle_verify(const Request& req) {
-  auto ce = compiled_for(req, nullptr);
-  VerifyReport rep;
-  rep.design = req.design.empty() ? ce->prog.name : req.design;
-  verify_spec_into(rep, ce->design.nest, ce->design.spec);
-  if (rep.errors() == 0) {
-    verify_program_into(rep, ce->prog, ce->design.nest);
-    if (rep.errors() == 0) {
-      Env sizes = sizes_of(ce->design, req);
-      auto plan = plan_cache_.lookup_or_build(ce->prog, ce->design.nest, sizes,
-                                              shape_of(ce->design, req));
-      verify_plan_into(rep, *plan);
-    }
+Response Executor::handle_static(const Request& req) {
+  // verify and analyze run the static pipeline on the request's design,
+  // parsed at most once: the compile cache's copy when it holds the
+  // request's key, else parsed here and — once the spec rules pass —
+  // compiled from that parse through the cache.
+  std::shared_ptr<const CompiledEntry> entry;
+  {
+    std::lock_guard<std::mutex> lock(compile_mu_);
+    entry = cached_locked(compile_key(req));
   }
-  Response r;
-  r.id = req.id;
-  r.op = req.op;
-  r.status = "ok";
-  r.verdict = rep.errors() == 0 ? "clean" : "findings";
-  r.data_json = rep.to_json();
-  return r;
-}
-
-Response Executor::handle_analyze(const Request& req) {
-  Response r;
-  r.id = req.id;
-  r.op = req.op;
-  r.status = "ok";
-  // Verifier-first, like the CLI: a design the verifier rejects has no
-  // meaningful cost — return its findings under the "findings" verdict.
-  // The spec rules run before compilation so a broken design cannot
-  // throw out of compile() and classify as a request error.
-  Design design = req.source.empty() ? design_by_name(req.design)
-                                     : frontend::parse_design(req.source);
-  VerifyReport rep;
+  std::optional<Design> parsed;
+  const Design& design =
+      entry != nullptr ? entry->design : parsed.emplace(design_of(req));
+  PipelineOptions options;
+  options.shape =
+      plan_shape(design.nest, req.capacity, req.merge_buffers, req.partition);
+  options.plan_cache = &plan_cache_;
+  options.compile = [&]() -> const CompiledProgram& {
+    if (entry == nullptr) entry = compiled_for(req, nullptr, &design);
+    return entry->prog;
+  };
+  const Env sizes = sizes_of(design.nest, req.n, req.m);
+  CostReport cost;
+  VerifyReport rep =
+      req.op == "verify"
+          ? verify_design(design.nest, design.spec, sizes, options)
+          : analyze_design(design.nest, design.spec, {sizes}, options, cost);
   rep.design = req.design.empty() ? design.nest.name() : req.design;
-  verify_spec_into(rep, design.nest, design.spec);
-  if (rep.errors() > 0) {
-    r.verdict = "findings";
+  // A design the pipeline rejects answers with its findings; analyze has
+  // no meaningful cost for it.
+  if (rep.errors() > 0 || req.op == "verify") {
+    Response r = ok_response(req, rep.errors() > 0 ? "findings" : "clean");
     r.data_json = rep.to_json();
     return r;
   }
-  auto ce = compiled_for(req, nullptr);
-  verify_program_into(rep, ce->prog, ce->design.nest);
-  if (rep.errors() > 0) {
-    r.verdict = "findings";
-    r.data_json = rep.to_json();
-    return r;
-  }
-  const CostReport cost =
-      analyze_cost(ce->prog, ce->design.nest, {sizes_of(ce->design, req)},
-                   shape_of(ce->design, req), &plan_cache_);
-  r.verdict = "success";
+  Response r = ok_response(req, "success");
   r.data_json = cost.to_json();
   return r;
 }

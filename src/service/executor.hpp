@@ -134,24 +134,35 @@ class Executor {
     CompiledProgram prog;
   };
 
+  /// The cached entry under `key`, counted as a hit; null when absent.
+  /// Caller holds compile_mu_.
+  [[nodiscard]] std::shared_ptr<const CompiledEntry> cached_locked(
+      const std::string& key);
+  /// The request's compiled design, compiled (from `parsed` when given,
+  /// else from the request) and cached on a miss.
   [[nodiscard]] std::shared_ptr<const CompiledEntry> compiled_for(
-      const Request& req, bool* cached);
+      const Request& req, bool* cached, const Design* parsed = nullptr);
   [[nodiscard]] Response dispatch(const Request& req);
   [[nodiscard]] Response handle_compile(const Request& req);
   [[nodiscard]] Response handle_expand(const Request& req);
   [[nodiscard]] Response handle_run(const Request& req);
   /// The engine options of one run request (solo or a coalesced group's
-  /// prototype): plan shape, cache, backend, lane workers, round budget
-  /// and wall-clock deadline, armed on `deadline`.
+  /// prototype): plan shape, cache, backend, lane workers and round
+  /// budget.
   [[nodiscard]] InstantiateOptions run_options(const Design& design,
-                                               const Request& req,
-                                               DeadlineTimer& deadline);
-  [[nodiscard]] Response run_attempt(const CompiledEntry& ce,
-                                     const Request& req);
-  [[nodiscard]] std::vector<Response> group_attempt(
-      const std::vector<Request>& reqs);
-  [[nodiscard]] Response handle_verify(const Request& req);
-  [[nodiscard]] Response handle_analyze(const Request& req);
+                                               const Request& req);
+  /// The request's wall-clock deadline in ms (0 = none).
+  [[nodiscard]] Int wall_ms(const Request& req) const;
+  /// A faulted batch, replayed instance by instance.
+  [[nodiscard]] Response faulted_attempt(const CompiledEntry& ce,
+                                         const Request& req);
+  /// One checked dispatch of every request's instances as lanes; a
+  /// divergence raises Error(Inconsistent).
+  [[nodiscard]] std::vector<Response> run_group(
+      const CompiledEntry& ce, const std::vector<Request>& reqs);
+  /// The verify and analyze ops: the static pipeline (analysis/verify.hpp)
+  /// on the request's design.
+  [[nodiscard]] Response handle_static(const Request& req);
   void count_outcome(const Response& r);
   /// Accumulate bytecode-backend counters off a run.
   void note_run_metrics(const RunMetrics& metrics);

@@ -6,8 +6,10 @@
 #include <sstream>
 
 #include "analysis/verify.hpp"
+#include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
 #include "frontend/parser.hpp"
+#include "runtime/instantiate.hpp"
 #include "scheme/compiler.hpp"
 
 #ifndef SYSTOLIZE_DESIGN_DIR
@@ -17,14 +19,19 @@
 namespace systolize {
 namespace {
 
-Design broken_design(const std::string& name) {
+/// designs/<dir>/<name>.sa, parsed.
+Design design_file(const std::string& dir, const std::string& name) {
   std::string path =
-      std::string(SYSTOLIZE_DESIGN_DIR) + "/broken/" + name + ".sa";
+      std::string(SYSTOLIZE_DESIGN_DIR) + "/" + dir + "/" + name + ".sa";
   std::ifstream in(path);
   EXPECT_TRUE(in) << "cannot open " << path;
   std::ostringstream buf;
   buf << in.rdbuf();
   return frontend::parse_design(buf.str());
+}
+
+Design broken_design(const std::string& name) {
+  return design_file("broken", name);
 }
 
 bool has_rule(const VerifyReport& rep, const std::string& rule,
@@ -74,6 +81,38 @@ TEST(VerifyBroken, StationaryLoadingMustCoverExactlyTheImage) {
   Env sizes{{"n", Rational(2)}, {"m", Rational(2)}};
   VerifyReport rep = verify_design(prog, d.nest, sizes);
   EXPECT_TRUE(has_rule(rep, "flow.loading-cover")) << rep.to_string();
+}
+
+TEST(VerifyBroken, RunGateProvesTheLoadingCover) {
+  // The run gate proves what verify proves: a loading-cover failure stops
+  // the run before anything is spawned, with the finding in its
+  // diagnostic (a run would return wrong values).
+  Design d = broken_design("loading_cover");
+  CompiledProgram prog = compile(d.nest, d.spec);
+  Env sizes{{"n", Rational(3)}, {"m", Rational(3)}};
+  IndexedStore store = make_seeded_store(d.nest, sizes);
+  InstantiateOptions opt;
+  opt.verify_plan = true;
+  try {
+    (void)execute(prog, d.nest, sizes, store, opt);
+    ADD_FAILURE() << "the gate let a loading-cover failure run";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Validation) << e.what();
+    EXPECT_NE(e.diagnostic().find("\"rule\":\"flow.loading-cover\""),
+              std::string::npos)
+        << e.diagnostic();
+  }
+}
+
+TEST(VerifyBroken, ExpansionFailureIsAPlanError) {
+  // This fuzz reproducer compiles, but its plan does not expand at n = 3
+  // (a pipe count evaluates to a non-integer): the pipeline names the
+  // stage that failed.
+  Design d = design_file("fuzz-corpus", "s41_i0021");
+  VerifyReport rep =
+      verify_design(d.nest, d.spec, {{"n", Rational(3)}, {"m", Rational(3)}});
+  EXPECT_TRUE(has_rule(rep, "plan.error")) << rep.to_string();
+  EXPECT_FALSE(has_rule(rep, "compile.error")) << rep.to_string();
 }
 
 TEST(VerifyBroken, LoadingCoverAcceptsExactCover) {

@@ -1,4 +1,5 @@
-// Topology capture and Graphviz export.
+// Topology capture (network_graph of an expanded plan) and Graphviz
+// export.
 #include "runtime/network.hpp"
 
 #include <gtest/gtest.h>
@@ -18,25 +19,18 @@ NetworkGraph capture(const std::string& name, Int n) {
   Design d = design_by_name(name);
   CompiledProgram prog = compile(d.nest, d.spec);
   Env sizes{{"n", Rational(n)}, {"m", Rational(2)}};
-  NetworkGraph graph;
-  InstantiateOptions opt;
-  opt.network = &graph;
-  IndexedStore store = make_initial_store(
-      d.nest, sizes, [](const std::string&, const IntVec&) { return 1; });
-  (void)execute(prog, d.nest, sizes, store, opt);
-  return graph;
+  return network_graph(*build_plan(prog, d.nest, sizes, PlanShape{}));
 }
 
 TEST(Network, NodeCountsMatchMetrics) {
   Design d = polyprod_design1();
   CompiledProgram prog = compile(d.nest, d.spec);
   Env sizes{{"n", Rational(4)}};
-  NetworkGraph graph;
-  InstantiateOptions opt;
-  opt.network = &graph;
+  const NetworkGraph graph =
+      network_graph(*build_plan(prog, d.nest, sizes, PlanShape{}));
   IndexedStore store = make_initial_store(
       d.nest, sizes, [](const std::string&, const IntVec&) { return 1; });
-  RunMetrics metrics = execute(prog, d.nest, sizes, store, opt);
+  RunMetrics metrics = execute(prog, d.nest, sizes, store);
 
   EXPECT_EQ(graph.count(NetworkGraph::NodeKind::Computation),
             metrics.computation_processes);

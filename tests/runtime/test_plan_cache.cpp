@@ -314,7 +314,7 @@ TEST(PlanCache, SetByteBudgetRacesWithLookupsSafely) {
         }
         // Touch the plan after (possibly) being evicted underneath us:
         // handed-out shared_ptrs stay fully valid.
-        if (plan->channels.empty() || plan->graph.nodes.empty()) {
+        if (plan->channels.empty() || plan->elems.empty()) {
           ++failures[t];
         }
       }

@@ -20,6 +20,7 @@
 #include "designs/catalog.hpp"
 #include "frontend/parser.hpp"
 #include "runtime/instantiate.hpp"
+#include "runtime/network.hpp"
 #include "runtime/plan_template.hpp"
 #include "scheme/compiler.hpp"
 
@@ -113,7 +114,6 @@ void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
     EXPECT_EQ(pa.role_begin, pb.role_begin) << what << " proc " << i;
     EXPECT_EQ(pa.role_end, pb.role_end) << what << " proc " << i;
     EXPECT_EQ(pa.first_x, pb.first_x) << what << " proc " << i;
-    EXPECT_EQ(pa.coords, pb.coords) << what << " proc " << i;
     EXPECT_EQ(pa.place, pb.place) << what << " proc " << i;
   }
   ASSERT_EQ(a.roles.size(), b.roles.size()) << what;
@@ -135,7 +135,7 @@ void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
   EXPECT_EQ(a.buffer_count, b.buffer_count) << what;
   EXPECT_EQ(a.ps_min, b.ps_min) << what;
   EXPECT_EQ(a.ps_max, b.ps_max) << what;
-  expect_same_graph(a.graph, b.graph, what);
+  expect_same_graph(network_graph(a), network_graph(b), what);
 }
 
 bool in_box(const IntVec& y, const IntVec& lo, const IntVec& hi) {
@@ -172,9 +172,8 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const NetworkPlan::ProcSpec& p = plan.procs[i];
     if (p.kind != NetworkPlan::ProcKind::Comp) continue;
-    EXPECT_EQ(p.place, p.coords) << what << " " << p.name;
-    EXPECT_TRUE(comp_at.emplace(p.coords, i).second)
-        << what << " two computation processes at " << p.coords.to_string();
+    EXPECT_TRUE(comp_at.emplace(p.place, i).second)
+        << what << " two computation processes at " << p.place.to_string();
   }
   std::size_t cs_points = 0;
   for (const IntVec& y : box) {
@@ -272,7 +271,7 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
       ++visits[k];
       if (oracle.in_computation_space(y)) {
         ASSERT_EQ(proc.kind, NetworkPlan::ProcKind::Comp) << at;
-        EXPECT_EQ(proc.coords, y) << at;
+        EXPECT_EQ(proc.place, y) << at;
         const NetworkPlan::RoleSpec& role = plan.roles[proc.role_begin + s];
         EXPECT_EQ(role.chan_in, chan) << at;
         advance(role.chan_out, hop_capacity);

@@ -5,10 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "analysis/verify.hpp"
+#include "frontend/parser.hpp"
+#include "service/checked_run.hpp"
 #include "service/json.hpp"
+
+#ifndef SYSTOLIZE_DESIGN_DIR
+#define SYSTOLIZE_DESIGN_DIR "designs"
+#endif
 
 namespace systolize::service {
 namespace {
@@ -261,6 +271,38 @@ TEST(Executor, VerifyOpRunsTheStaticPipeline) {
   EXPECT_EQ(r.verdict, "clean");
   Json report = Json::parse(r.data_json);
   EXPECT_NE(report.get("findings"), nullptr);
+}
+
+TEST(Executor, VerifyOpReturnsThePipelinesFindingsOnRejectedDesigns) {
+  // The serve verify op and `systolize verify` run one static pipeline:
+  // on every deliberately broken fixture and every fuzz reproducer the op
+  // answers verdict "findings" with exactly the pipeline's report.
+  Executor ex(fast_config());
+  std::size_t files = 0;
+  for (const char* dir : {"/broken", "/fuzz-corpus"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(SYSTOLIZE_DESIGN_DIR) + dir)) {
+      if (entry.path().extension() != ".sa") continue;
+      ++files;
+      std::ifstream in(entry.path());
+      std::ostringstream text;
+      text << in.rdbuf();
+      Request req;
+      req.op = "verify";
+      req.source = text.str();
+      req.n = 3;
+      req.m = 3;
+      const Response r = ex.handle(req);
+      ASSERT_EQ(r.status, "ok") << entry.path() << ": " << r.message;
+      EXPECT_EQ(r.verdict, "findings") << entry.path();
+      const Design d = frontend::parse_design(req.source);
+      EXPECT_EQ(r.data_json,
+                verify_design(d.nest, d.spec, sizes_of(d.nest, 3, 3))
+                    .to_json())
+          << entry.path();
+    }
+  }
+  EXPECT_EQ(files, 9u);
 }
 
 TEST(Executor, AnalyzeOpReturnsCostReportAndReusesCompileCache) {

@@ -58,6 +58,9 @@ echo "=== verify: catalog must be clean ==="
   | grep -q '"errors":0'
 "${repo}/build/tools/systolize" verify all --n=4
 
+# The run gate (--verify-plan) proves what verify proves: each broken
+# design must also fail a gated run with the baseline check off, and the
+# loading-cover fixture must fail it on its rule (it has no earlier one).
 expect_rule() {
   local design="$1" rule="$2"
   echo "=== verify: ${design} must trip ${rule} ==="
@@ -71,6 +74,15 @@ expect_rule() {
     echo "expected rule ${rule} in findings for ${design}: ${out}" >&2
     exit 1
   }
+  if out="$("${repo}/build/tools/systolize" run \
+      "${repo}/designs/broken/${design}.sa" --n=3 --verify-plan \
+      --no-verify 2>&1 >/dev/null)"; then
+    echo "expected the gated run of ${design} to exit non-zero" >&2; exit 1
+  fi
+  if [ "${design}" = loading_cover ] &&
+      ! grep -q "flow.loading-cover" <<<"${out}"; then
+    echo "expected flow.loading-cover from the gated run: ${out}" >&2; exit 1
+  fi
 }
 
 expect_rule step_on_nullplace schedule.injectivity
@@ -314,11 +326,12 @@ bench_smoke bench_endtoend 'BM_AnalyzeCost/6|BM_ExploreMatmul2'
 echo "=== bench smoke: scheme compile + program and plan verifiers ==="
 # Compile and the program verifier lean on Fourier-Motzkin; the plan
 # verifier retires the lowered program next to a VM walk of the same
-# plan. BM_VerifyProgramMatmul2 and BM_VerifyPlan double as correctness
-# assertions: they skip with an error if their design stops verifying
-# clean.
+# plan, and the loading-cover check walks the iteration domain once.
+# BM_VerifyProgramMatmul2, BM_VerifyPlan and BM_LoadingCover double as
+# correctness assertions: they skip with an error if their design stops
+# verifying clean.
 bench_smoke bench_compile \
-  'BM_CompileMatmul2|BM_VerifyProgramMatmul2|BM_VerifyPlan|BM_LowerAndWalk'
+  'BM_CompileMatmul2|BM_VerifyProgramMatmul2|BM_VerifyPlan|BM_LoadingCover|BM_LowerAndWalk'
 
 echo "=== bench gate: analysis must hold the PR8 numbers ==="
 # Recorded-baseline gate: the PR8 run is the floor; "latest" resolves to

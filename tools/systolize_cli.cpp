@@ -8,7 +8,8 @@
 //                    [--verify | --no-verify] [--verify-plan]
 //                    [--inject=PLAN] [--watchdog-rounds=N]
 //                    [--watchdog-blocked=N] [--deadlock-report]
-//   systolize graph  <design | file.sa> [--n=N] [--m=M]     (Graphviz dot)
+//   systolize graph  <design | file.sa> [--n=N] [--m=M]     (the plan as
+//                    Graphviz dot; nothing runs)
 //   systolize schedule <design | file.sa> [--n=N] [--m=M]   (space-time table)
 //   systolize verify <design | file.sa | all> [--n=N] [--m=M] [--capacity=K]
 //                    [--merge-buffers] [--partition=G]
@@ -24,38 +25,42 @@
 // flags it reads: a flag of another command is error [Validation] (exit
 // 1), a flag no command knows a usage error (exit 2).
 //
-// `verify` runs the static plan verifier (docs/static-analysis.md): spec,
-// program and plan-level rules, zero scheduler rounds. It exits non-zero
-// iff any error-severity finding remains; --allow downgrades the named
-// rules (or whole categories, e.g. "guard") to info.
+// `verify` runs the static pipeline (verify_design, docs/static-
+// analysis.md), the one the serve verify op and the run gate run too:
+// spec, program and plan-level rules, zero scheduler rounds. It exits
+// non-zero iff any error-severity finding remains; --allow downgrades
+// the named rules (or whole categories, e.g. "guard") to info.
 //
 // --inject takes the fault-plan syntax of FaultPlan::parse (';'-separated
 // directives, e.g. "seed=42;stall=0.1:4;delay=0.05:3" or
 // "kill@comp:(1)=2"); see docs/fault-model.md. --deadlock-report prints
 // the machine-readable JSON forensics payload when a run stalls.
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string_view>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/cost.hpp"
 #include "analysis/verify.hpp"
 #include "ast/builder.hpp"
 #include "ast/print.hpp"
-#include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/render.hpp"
 #include "fuzz/fuzz.hpp"
 #include "runtime/instantiate.hpp"
+#include "runtime/network.hpp"
 #include "systolic/enumerate.hpp"
 #include "scheme/compiler.hpp"
 #include "scheme/report.hpp"
 #include "scheme/schedule.hpp"
+#include "service/checked_run.hpp"
 #include "service/client.hpp"
 #include "service/executor.hpp"
 #include "service/server.hpp"
@@ -118,9 +123,11 @@ int cmd_help() {
       "exit codes (run, client and serve commands):\n"
       "  0  success — the run completed (and verified, unless --no-verify)\n"
       "  1  classified error — compile/validation failure (a flag the\n"
-      "     command does not take included), injected-fault deadlock,\n"
-      "     differential-verify mismatch; details on stderr, and with\n"
-      "     --deadlock-report the forensic JSON on stdout\n"
+      "     command does not take, or a malformed or out-of-range number\n"
+      "     in an integer flag, included), injected-fault deadlock,\n"
+      "     differential-verify mismatch, or error [Internal] for any\n"
+      "     other failure; details on stderr, and with --deadlock-report\n"
+      "     the forensic JSON on stdout\n"
       "  2  usage error — unknown command or flag\n"
       "  3  timeout — the watchdog round budget (--round-budget) or the\n"
       "     wall-clock deadline (--wall-timeout-ms) expired before the run\n"
@@ -236,104 +243,106 @@ struct Options {
   Int mutate_rate = 20;              ///< deliberate-breakage percentage
 };
 
+/// The integer in `text`, the value of `flag`: the whole text must be a
+/// base-10 integer that fits T, else error [Validation] naming the flag.
+template <class T>
+T integer_flag(std::string_view flag, std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    raise(ErrorKind::Validation,
+          "malformed " + std::string(flag) + " value '" + std::string(text) +
+              "': " +
+              (ec == std::errc::result_out_of_range ||
+                       (std::is_unsigned_v<T> && text.starts_with('-'))
+                   ? "out of range"
+                   : "not an integer"));
+  }
+  return value;
+}
+
+// Every flag, by the Options field it sets: integer flags (--name=N),
+// text flags (--name=TEXT) and switches (--name).
+template <class T>
+struct Flag {
+  std::string_view name;
+  T Options::*field;
+};
+constexpr Flag<Int> kIntFlags[] = {
+    {"--n", &Options::n}, {"--m", &Options::m},
+    {"--capacity", &Options::capacity}, {"--partition", &Options::partition},
+    {"--watchdog-rounds", &Options::watchdog_rounds},
+    {"--watchdog-blocked", &Options::watchdog_blocked},
+    {"--threads", &Options::threads}, {"--batch", &Options::batch},
+    {"--plan-cache-bytes", &Options::plan_cache_bytes},
+    {"--round-budget", &Options::round_budget},
+    {"--wall-timeout-ms", &Options::wall_timeout_ms},
+    {"--workers", &Options::workers}, {"--queue-depth", &Options::queue_depth},
+    {"--tenant-cap", &Options::tenant_cap},
+    {"--max-retries", &Options::max_retries},
+    {"--fail-attempts", &Options::fail_attempts},
+    {"--count", &Options::count}, {"--mutate-rate", &Options::mutate_rate},
+    {"--coeff-range", &Options::coeff_range}, {"--top", &Options::top}};
+
+constexpr Flag<std::string> kTextFlags[] = {
+    {"--syntax", &Options::syntax}, {"--inject", &Options::inject},
+    {"--backend", &Options::backend}, {"--format", &Options::format},
+    {"--allow", &Options::allow}, {"--socket", &Options::socket},
+    {"--op", &Options::op}, {"--design", &Options::design_name},
+    {"--tenant", &Options::tenant}, {"--corpus-dir", &Options::corpus_dir},
+    {"--sizes", &Options::sizes_list}, {"--export", &Options::export_path}};
+
+struct Switch {
+  std::string_view name;
+  bool Options::*field;
+  bool value;
+};
+constexpr Switch kSwitches[] = {
+    {"--merge-buffers", &Options::merge_buffers, true},
+    {"--no-verify", &Options::verify, false},
+    {"--deadlock-report", &Options::deadlock_report, true},
+    {"--verify-plan", &Options::verify_plan, true},
+    {"--no-shrink", &Options::fuzz_shrink, false},
+    {"--keep-rejects", &Options::keep_rejects, true},
+    {"--replay", &Options::replay, true}, {"--retry", &Options::retry, true},
+    {"--moving-only", &Options::moving_only, true},
+    {"--same-projection", &Options::same_projection, true}};
+
+/// Apply one flag to opt; false when no command knows it.
 bool parse_flag(const std::string& arg, Options& opt) {
-  auto value_of = [&arg](const std::string& prefix) -> std::string {
-    return arg.substr(prefix.size());
-  };
-  if (arg.rfind("--n=", 0) == 0) {
-    opt.n = std::stoll(value_of("--n="));
-  } else if (arg.rfind("--m=", 0) == 0) {
-    opt.m = std::stoll(value_of("--m="));
-  } else if (arg.rfind("--capacity=", 0) == 0) {
-    opt.capacity = std::stoll(value_of("--capacity="));
-  } else if (arg.rfind("--partition=", 0) == 0) {
-    opt.partition = std::stoll(value_of("--partition="));
-  } else if (arg == "--merge-buffers") {
-    opt.merge_buffers = true;
-  } else if (arg == "--no-verify") {
-    opt.verify = false;
-  } else if (arg.rfind("--syntax=", 0) == 0) {
-    opt.syntax = value_of("--syntax=");
-  } else if (arg.rfind("--inject=", 0) == 0) {
-    opt.inject = value_of("--inject=");
-  } else if (arg.rfind("--watchdog-rounds=", 0) == 0) {
-    opt.watchdog_rounds = std::stoll(value_of("--watchdog-rounds="));
-  } else if (arg.rfind("--watchdog-blocked=", 0) == 0) {
-    opt.watchdog_blocked = std::stoll(value_of("--watchdog-blocked="));
-  } else if (arg == "--deadlock-report") {
-    opt.deadlock_report = true;
-  } else if (arg.rfind("--threads=", 0) == 0) {
-    opt.threads = std::stoll(value_of("--threads="));
-  } else if (arg.rfind("--backend=", 0) == 0) {
-    opt.backend = value_of("--backend=");
-  } else if (arg.rfind("--batch=", 0) == 0) {
-    opt.batch = std::stoll(value_of("--batch="));
-  } else if (arg.rfind("--plan-cache-bytes=", 0) == 0) {
-    opt.plan_cache_bytes = std::stoll(value_of("--plan-cache-bytes="));
-  } else if (arg == "--verify-plan") {
-    opt.verify_plan = true;
-  } else if (arg.rfind("--format=", 0) == 0) {
-    opt.format = value_of("--format=");
-  } else if (arg.rfind("--allow=", 0) == 0) {
-    opt.allow = value_of("--allow=");
-  } else if (arg.rfind("--round-budget=", 0) == 0) {
-    opt.round_budget = std::stoll(value_of("--round-budget="));
-  } else if (arg.rfind("--wall-timeout-ms=", 0) == 0) {
-    opt.wall_timeout_ms = std::stoll(value_of("--wall-timeout-ms="));
-  } else if (arg.rfind("--socket=", 0) == 0) {
-    opt.socket = value_of("--socket=");
-  } else if (arg.rfind("--workers=", 0) == 0) {
-    opt.workers = std::stoll(value_of("--workers="));
-  } else if (arg.rfind("--queue-depth=", 0) == 0) {
-    opt.queue_depth = std::stoll(value_of("--queue-depth="));
-  } else if (arg.rfind("--tenant-cap=", 0) == 0) {
-    opt.tenant_cap = std::stoll(value_of("--tenant-cap="));
-  } else if (arg.rfind("--max-retries=", 0) == 0) {
-    opt.max_retries = std::stoll(value_of("--max-retries="));
-  } else if (arg.rfind("--op=", 0) == 0) {
-    opt.op = value_of("--op=");
-  } else if (arg.rfind("--design=", 0) == 0) {
-    opt.design_name = value_of("--design=");
-  } else if (arg.rfind("--tenant=", 0) == 0) {
-    opt.tenant = value_of("--tenant=");
-  } else if (arg.rfind("--fail-attempts=", 0) == 0) {
-    opt.fail_attempts = std::stoll(value_of("--fail-attempts="));
-  } else if (arg.rfind("--count=", 0) == 0) {
-    opt.count = std::stoll(value_of("--count="));
-    opt.count_set = true;
-  } else if (arg.rfind("--seed=", 0) == 0) {
-    opt.seed = std::stoull(value_of("--seed="));
-  } else if (arg == "--no-shrink") {
-    opt.fuzz_shrink = false;
-  } else if (arg.rfind("--corpus-dir=", 0) == 0) {
-    opt.corpus_dir = value_of("--corpus-dir=");
-  } else if (arg == "--keep-rejects") {
-    opt.keep_rejects = true;
-  } else if (arg == "--replay") {
-    opt.replay = true;
-  } else if (arg.rfind("--mutate-rate=", 0) == 0) {
-    opt.mutate_rate = std::stoll(value_of("--mutate-rate="));
-  } else if (arg == "--retry") {
-    opt.retry = true;
-  } else if (arg == "--verify") {
-    opt.verify = true;  // run: the explicit form of the default
-    opt.client_verify = true;
-  } else if (arg.rfind("--sizes=", 0) == 0) {
-    opt.sizes_list = value_of("--sizes=");
-  } else if (arg.rfind("--coeff-range=", 0) == 0) {
-    opt.coeff_range = std::stoll(value_of("--coeff-range="));
-  } else if (arg.rfind("--top=", 0) == 0) {
-    opt.top = std::stoll(value_of("--top="));
-  } else if (arg == "--moving-only") {
-    opt.moving_only = true;
-  } else if (arg == "--same-projection") {
-    opt.same_projection = true;
-  } else if (arg.rfind("--export=", 0) == 0) {
-    opt.export_path = value_of("--export=");
-  } else {
+  const std::size_t eq = arg.find('=');
+  const std::string_view name = std::string_view(arg).substr(0, eq);
+  if (eq == std::string::npos) {
+    if (arg == "--verify") {
+      opt.verify = true;  // run: the explicit form of the default
+      opt.client_verify = true;
+      return true;
+    }
+    for (const Switch& f : kSwitches) {
+      if (name != f.name) continue;
+      opt.*f.field = f.value;
+      return true;
+    }
     return false;
   }
-  return true;
+  const std::string_view value = std::string_view(arg).substr(eq + 1);
+  if (name == "--seed") {
+    opt.seed = integer_flag<std::uint64_t>(name, value);
+    return true;
+  }
+  for (const Flag<Int>& f : kIntFlags) {
+    if (name != f.name) continue;
+    opt.*f.field = integer_flag<Int>(name, value);
+    opt.count_set = opt.count_set || name == "--count";
+    return true;
+  }
+  for (const Flag<std::string>& f : kTextFlags) {
+    if (name != f.name) continue;
+    opt.*f.field = std::string(value);
+    return true;
+  }
+  return false;
 }
 
 using FlagSet = std::vector<std::string_view>;
@@ -407,15 +416,7 @@ bool parse_flags(const std::string& cmd, const FlagSet& allowed, int first,
 }
 
 Env sizes_of(const Design& design, const Options& opt) {
-  Env sizes;
-  for (const Symbol& s : design.nest.sizes()) {
-    if (s.name() == "m") {
-      sizes["m"] = Rational(opt.m);
-    } else {
-      sizes[s.name()] = Rational(opt.n);
-    }
-  }
-  return sizes;
+  return service::sizes_of(design.nest, opt.n, opt.m);
 }
 
 int cmd_list() {
@@ -452,17 +453,12 @@ int cmd_emit(const Design& design, const Options& opt) {
   return 0;
 }
 
+/// The plan's picture; the design is not run.
 int cmd_graph(const Design& design, const Options& opt) {
   CompiledProgram prog = compile(design.nest, design.spec);
-  Env sizes = sizes_of(design, opt);
-  NetworkGraph graph;
-  InstantiateOptions iopt;
-  iopt.network = &graph;
-  IndexedStore store = make_initial_store(
-      design.nest, sizes,
-      [](const std::string&, const IntVec&) { return 0; });
-  (void)execute(prog, design.nest, sizes, store, iopt);
-  std::cout << to_dot(graph);
+  const auto plan =
+      build_plan(prog, design.nest, sizes_of(design, opt), PlanShape{});
+  std::cout << to_dot(network_graph(*plan));
   return 0;
 }
 
@@ -484,38 +480,22 @@ int cmd_schedule(const Design& design, const Options& opt) {
   return 0;
 }
 
-bool parse_backend(const std::string& name, Backend* out) {
-  if (name.empty() || name == "auto") {
-    *out = Backend::Auto;
-  } else if (name == "interp") {
-    *out = Backend::Interp;
-  } else if (name == "bytecode") {
-    *out = Backend::Bytecode;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 int cmd_run(const Design& design, const Options& opt) {
   CompiledProgram prog = compile(design.nest, design.spec);
-  Env sizes = sizes_of(design, opt);
+  const Env sizes = sizes_of(design, opt);
 
-  InstantiateOptions iopt;
-  if (!parse_backend(opt.backend, &iopt.backend)) {
+  InstantiateOptions iopt = service::shaped_options(service::plan_shape(
+      design.nest, opt.capacity, opt.merge_buffers, opt.partition));
+  const std::optional<Backend> backend = service::backend_named(opt.backend);
+  if (!backend.has_value()) {
     std::cerr << "unknown backend '" << opt.backend
               << "' (expected interp or bytecode)\n";
     return 2;
   }
+  iopt.backend = *backend;
   if (opt.batch < 1) {
     std::cerr << "--batch needs a positive instance count\n";
     return 2;
-  }
-  iopt.channel_capacity = opt.capacity;
-  iopt.merge_internal_buffers = opt.merge_buffers;
-  if (opt.partition > 0) {
-    std::vector<Int> comps(design.nest.depth() - 1, opt.partition);
-    iopt.partition_grid = IntVec(comps);
   }
   FaultPlan plan;
   if (!opt.inject.empty()) {
@@ -533,150 +513,81 @@ int cmd_run(const Design& design, const Options& opt) {
        opt.round_budget < iopt.watchdog.max_rounds)) {
     iopt.watchdog.max_rounds = opt.round_budget;
   }
-  // --wall-timeout-ms arms a deadline timer whose token the scheduler
-  // polls at round boundaries; expiry raises Error(Timeout) → exit 3.
-  service::DeadlineTimer deadline;
-  if (opt.wall_timeout_ms > 0) {
-    deadline.arm(opt.wall_timeout_ms);
-    iopt.watchdog.cancel = deadline.token();
-    iopt.watchdog.cancel_kind = ErrorKind::Timeout;
-    iopt.watchdog.cancel_reason = "wall-clock deadline of " +
-                                  std::to_string(opt.wall_timeout_ms) +
-                                  "ms exceeded";
-  }
   if (opt.threads > 0) iopt.threads = static_cast<unsigned>(opt.threads);
   iopt.verify_plan = opt.verify_plan;
+  const std::size_t batch = static_cast<std::size_t>(opt.batch);
 
-  // Instance b of a batch is seeded as lane b (make_seeded_store): lane 0
-  // is the single-run seeding, later lanes carry different data.
-  if (opt.batch > 1) {
-    const std::size_t batch = static_cast<std::size_t>(opt.batch);
-    if (iopt.faults != nullptr) {
-      // Faults are per-instance by nature: replay each instance through
-      // the interpreter with its own derived fault seed, and
-      // report one verdict per instance instead of failing the batch.
-      int worst = 0;
-      for (std::size_t b = 0; b < batch; ++b) {
-        FaultPlan instance_plan = FaultPlan::parse(opt.inject);
-        instance_plan.set_seed(instance_plan.seed() + b);
-        InstantiateOptions per = iopt;
-        per.faults = &instance_plan;
-        IndexedStore bstore =
-            make_seeded_store(design.nest, sizes, static_cast<Int>(b));
-        try {
-          RunMetrics m = execute(prog, design.nest, sizes, bstore, per);
-          std::string verdict = "ok";
-          if (opt.verify) {
-            IndexedStore bexpected =
-                make_seeded_store(design.nest, sizes, static_cast<Int>(b));
-            run_sequential(design.nest, sizes, bexpected);
-            const std::string diff =
-                first_divergence(design.nest, bexpected, bstore);
-            if (!diff.empty()) {
-              verdict = "verify-failed " + diff;
-              worst = std::max(worst, 1);
-            }
-          }
-          std::cout << "instance " << b << ": " << verdict
-                    << " faults=" << m.faults_injected
-                    << " makespan=" << m.makespan << "\n";
-        } catch (const Error& e) {
-          const std::string what = e.what();
-          std::cout << "instance " << b << ": error ["
-                    << error_kind_name(e.kind()) << "] "
-                    << what.substr(0, what.find('\n')) << "\n";
-          worst = std::max(worst, e.kind() == ErrorKind::Timeout ? 3 : 1);
-        }
-      }
-      deadline.disarm();
-      return worst;
-    }
-    std::vector<IndexedStore> stores;
-    stores.reserve(batch);
+  if (batch > 1 && iopt.faults != nullptr) {
+    // Faults are per-instance by nature: each instance replays on its
+    // own with its own derived fault seed, and gets its own verdict
+    // instead of failing the batch.
+    int worst = 0;
+    const std::vector<service::InstanceRun> runs =
+        service::run_faulted(prog, design.nest, sizes, batch, plan, iopt,
+                             opt.wall_timeout_ms, opt.verify);
     for (std::size_t b = 0; b < batch; ++b) {
-      stores.push_back(
-          make_seeded_store(design.nest, sizes, static_cast<Int>(b)));
-    }
-    RunMetrics metrics =
-        execute_batch(prog, design.nest, sizes, stores.data(), batch, iopt);
-    deadline.disarm();
-    std::cout << metrics.to_string() << "\n";
-    if (opt.verify) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        IndexedStore bexpected =
-            make_seeded_store(design.nest, sizes, static_cast<Int>(b));
-        run_sequential(design.nest, sizes, bexpected);
-        const std::string diff =
-            first_divergence(design.nest, bexpected, stores[b]);
-        if (!diff.empty()) {
-          std::cout << "VERIFY FAILED for instance " << b << " " << diff
-                    << "\n";
-          return 1;
-        }
+      const service::InstanceRun& run = runs[b];
+      if (run.error.has_value()) {
+        const std::string what = run.error->what();
+        std::cout << "instance " << b << ": error ["
+                  << error_kind_name(run.error->kind()) << "] "
+                  << what.substr(0, what.find('\n')) << "\n";
+        worst = std::max(
+            worst, run.error->kind() == ErrorKind::Timeout ? 3 : 1);
+        continue;
       }
-      std::cout << "verify: OK (all " << batch
-                << " instances match sequential execution)\n";
+      std::string verdict = "ok";
+      if (!run.divergence.empty()) {
+        verdict = "verify-failed " + run.divergence;
+        worst = std::max(worst, 1);
+      }
+      std::cout << "instance " << b << ": " << verdict
+                << " faults=" << run.metrics.faults_injected
+                << " makespan=" << run.metrics.makespan << "\n";
     }
-    return 0;
+    return worst;
   }
 
-  IndexedStore store = make_seeded_store(design.nest, sizes);
-  RunMetrics metrics = execute(prog, design.nest, sizes, store, iopt);
-  deadline.disarm();
-  std::cout << metrics.to_string() << "\n";
-  if (opt.partition > 0) {
-    std::cout << "physical processors: " << metrics.physical_processors
+  // Instance b of a batch is seeded as lane b (service/checked_run.hpp):
+  // lane 0 is the single-run seeding, later lanes carry different data.
+  std::vector<Int> instances(batch);
+  std::iota(instances.begin(), instances.end(), Int{0});
+  const service::CheckedRun run =
+      service::run_checked(prog, design.nest, sizes, instances, iopt,
+                           opt.wall_timeout_ms, opt.verify);
+  std::cout << run.metrics.to_string() << "\n";
+  if (batch == 1 && opt.partition > 0) {
+    std::cout << "physical processors: " << run.metrics.physical_processors
               << "\n";
   }
-
-  if (opt.verify) {
-    IndexedStore expected = make_seeded_store(design.nest, sizes);
-    run_sequential(design.nest, sizes, expected);
-    const std::string diff = first_divergence(design.nest, expected, store);
-    if (!diff.empty()) {
-      std::cout << "VERIFY FAILED for " << diff << "\n";
-      return 1;
-    }
+  if (!opt.verify) return 0;
+  for (std::size_t b = 0; b < batch; ++b) {
+    if (run.divergence[b].empty()) continue;
+    std::cout << "VERIFY FAILED for "
+              << (batch > 1 ? "instance " + std::to_string(b) + " " : "")
+              << run.divergence[b] << "\n";
+    return 1;
+  }
+  if (batch > 1) {
+    std::cout << "verify: OK (all " << batch
+              << " instances match sequential execution)\n";
+  } else {
     std::cout << "verify: OK (matches sequential execution)\n";
   }
   return 0;
 }
 
-/// The full static pipeline on one design: spec rules; when those pass,
-/// compile and run the program rules; when those pass too, intern the
-/// plan at the requested sizes/shape and run the plan rules. Compile or
-/// interning failures become findings instead of aborting the sweep.
+/// The static pipeline on one design (verify_design), labelled `label`,
+/// with --allow applied. Compile or interning failures become findings
+/// instead of aborting a sweep.
 VerifyReport verify_one(const Design& design, const std::string& label,
                         const Options& opt) {
-  VerifyReport rep;
+  PipelineOptions popt;
+  popt.shape = service::plan_shape(design.nest, opt.capacity,
+                                   opt.merge_buffers, opt.partition);
+  VerifyReport rep =
+      verify_design(design.nest, design.spec, sizes_of(design, opt), popt);
   rep.design = label;
-  verify_spec_into(rep, design.nest, design.spec);
-  if (rep.errors() == 0) {
-    try {
-      CompiledProgram prog = compile(design.nest, design.spec);
-      verify_program_into(rep, prog, design.nest);
-      if (rep.errors() == 0) {
-        verify_loading_cover_into(rep, prog, design.nest,
-                                  sizes_of(design, opt));
-      }
-      if (rep.errors() == 0) {
-        PlanShape shape;
-        shape.channel_capacity = opt.capacity;
-        shape.merge_internal_buffers = opt.merge_buffers;
-        if (opt.partition > 0) {
-          std::vector<Int> comps(design.nest.depth() - 1, opt.partition);
-          shape.partition_grid = IntVec(comps);
-        }
-        auto plan = build_plan(prog, design.nest, sizes_of(design, opt),
-                               shape);
-        verify_plan_into(rep, *plan);
-      }
-    } catch (const Error& e) {
-      rep.add("compile.error", Severity::Error, design.nest.name(),
-              std::string(error_kind_name(e.kind())) + ": " + e.what(),
-              e.diagnostic());
-    }
-  }
   // --allow downgrades (exact rule ids or whole categories).
   std::istringstream allow(opt.allow);
   std::string rule;
@@ -740,12 +651,8 @@ std::vector<Env> probe_sizes(const Design& design, const Options& opt,
   std::string item;
   while (std::getline(in, item, ',')) {
     if (item.empty()) continue;
-    const Int value = std::stoll(item);
-    Env env;
-    for (const Symbol& s : design.nest.sizes()) {
-      env[s.name()] = s.name() == "m" ? Rational(opt.m) : Rational(value);
-    }
-    envs.push_back(std::move(env));
+    envs.push_back(service::sizes_of(
+        design.nest, integer_flag<Int>("--sizes", item), opt.m));
   }
   if (envs.empty()) {
     raise(ErrorKind::Validation, "--sizes needs at least one value");
@@ -753,47 +660,22 @@ std::vector<Env> probe_sizes(const Design& design, const Options& opt,
   return envs;
 }
 
-PlanShape shape_of_options(const Design& design, const Options& opt) {
-  PlanShape shape;
-  shape.channel_capacity = opt.capacity;
-  shape.merge_internal_buffers = opt.merge_buffers;
-  if (opt.partition > 0) {
-    std::vector<Int> comps(design.nest.depth() - 1, opt.partition);
-    shape.partition_grid = IntVec(comps);
-  }
-  return shape;
-}
-
 /// Static cost report. Verifier-first: a broken design yields its
 /// findings (exit 1), never a crash — the cost model only runs on specs
-/// the verifier proves clean at spec and program level.
+/// the verifier proves clean at spec and program level (analyze_design).
 int cmd_analyze(const std::string& what, const Options& opt) {
   const Design design = load_design(what);
-  VerifyReport rep;
-  rep.design = what;
-  verify_spec_into(rep, design.nest, design.spec);
-  std::vector<Env> envs = probe_sizes(design, opt, "4,8");
+  PipelineOptions popt;
+  popt.shape = service::plan_shape(design.nest, opt.capacity,
+                                   opt.merge_buffers, opt.partition);
   CostReport cost;
-  if (rep.errors() == 0) {
-    try {
-      const CompiledProgram prog = compile(design.nest, design.spec);
-      verify_program_into(rep, prog, design.nest);
-      if (rep.errors() == 0) {
-        cost = analyze_cost(prog, design.nest, envs,
-                            shape_of_options(design, opt));
-      }
-    } catch (const Error& e) {
-      rep.add("compile.error", Severity::Error, design.nest.name(),
-              std::string(error_kind_name(e.kind())) + ": " + e.what(),
-              e.diagnostic());
-    }
-  }
+  VerifyReport rep = analyze_design(design.nest, design.spec,
+                                    probe_sizes(design, opt, "4,8"), popt,
+                                    cost);
+  rep.design = what;
   if (rep.errors() > 0) {
-    if (opt.format == "json") {
-      std::cout << rep.to_json() << "\n";
-    } else {
-      std::cout << rep.to_string() << "\n";
-    }
+    std::cout << (opt.format == "json" ? rep.to_json() : rep.to_string())
+              << "\n";
     return 1;
   }
   if (opt.format == "json") {
@@ -816,11 +698,8 @@ int cmd_explore(const std::string& what, const Options& opt) {
   // hold (stream ranks, dependence directions).
   VerifyReport rep = verify_spec(design.nest, design.spec);
   if (rep.errors() > 0) {
-    if (opt.format == "json") {
-      std::cout << rep.to_json() << "\n";
-    } else {
-      std::cout << rep.to_string() << "\n";
-    }
+    std::cout << (opt.format == "json" ? rep.to_json() : rep.to_string())
+              << "\n";
     return 1;
   }
 
@@ -1045,5 +924,11 @@ int main(int argc, char** argv) {
     // Deadline expiry (round budget or wall clock) is distinguishable
     // from ordinary failure: exit 3 (see `systolize help`).
     return e.kind() == systolize::ErrorKind::Timeout ? 3 : 1;
+  } catch (const std::exception& e) {
+    // Anything else is a bug, classified as the serve executor does.
+    std::cerr << "error ["
+              << systolize::error_kind_name(systolize::ErrorKind::Internal)
+              << "]: " << e.what() << "\n";
+    return 1;
   }
 }
