@@ -126,6 +126,74 @@ void BM_LowerAndWalk(benchmark::State& state, const std::string& design_name,
   }
 }
 
+/// A walk of one plan's schedule against a replay of the tape that walk
+/// records, over `lanes` lanes (runtime/vm.hpp "Walk and replay"). Skips
+/// with an error if the replay's outputs differ from the walk's.
+void BM_WalkVsReplay(benchmark::State& state, const std::string& design_name,
+                     Int n, std::size_t lanes, bool replay) {
+  const Design design = design_by_name(design_name);
+  const CompiledProgram prog = compile(design.nest, design.spec);
+  const std::unique_ptr<NetworkPlan> plan =
+      build_plan(prog, design.nest, sizes_for(design, n), PlanShape{});
+  const std::unique_ptr<BytecodeProgram> code = lower_plan(*plan);
+  std::vector<Value> in(plan->elems.size() * lanes);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<Value>(i % 7) - 3;
+  }
+  std::vector<Value> walked(in.size(), 0);
+  std::vector<Value> out(in.size(), 0);
+  VmTape tape;
+  VmRunOptions opt;
+  opt.record = &tape;
+  (void)run_vm(*code, *plan, in.data(), walked.data(), lanes, 0, lanes, opt);
+  opt = {};
+  opt.replay = replay ? &tape : nullptr;
+  (void)run_vm(*code, *plan, in.data(), out.data(), lanes, 0, lanes, opt);
+  if (tape.empty() || out != walked) {
+    state.SkipWithError("the replay's outputs differ from the walk's");
+    return;
+  }
+  for (auto _ : state) {
+    VmResult result =
+        run_vm(*code, *plan, in.data(), out.data(), lanes, 0, lanes, opt);
+    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["tape_entries"] = static_cast<double>(tape.entries.size());
+}
+
+BENCHMARK_CAPTURE(BM_WalkVsReplay, matmul2_n14_walk, "matmul2", 14, 1, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, matmul2_n14_replay, "matmul2", 14, 1, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, matmul2_n32_walk, "matmul2", 32, 1, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, matmul2_n32_replay, "matmul2", 32, 1, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, closure_n18_walk, "closure", 18, 1, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, closure_n18_replay, "closure", 18, 1, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, correlation_n112_walk, "correlation", 112,
+                  1, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, correlation_n112_replay, "correlation",
+                  112, 1, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, polyprod1_n16_walk, "polyprod1", 16, 1,
+                  false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, polyprod1_n16_replay, "polyprod1", 16, 1,
+                  true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, matmul2_n8_x64_walk, "matmul2", 8, 64,
+                  false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WalkVsReplay, matmul2_n8_x64_replay, "matmul2", 8, 64,
+                  true)
+    ->Unit(benchmark::kMicrosecond);
+
 BENCHMARK_CAPTURE(BM_VerifyPlan, matmul2_n14, "matmul2", 14)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_VerifyPlan, matmul2_n32, "matmul2", 32)

@@ -212,9 +212,11 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
     std::string diff = diff_stores(design.nest, expected, interp_store, stage);
 
     MetricCheck mc;
+    // Each column runs against the reference and returns the run's
+    // schedule ("" when it did not run: an earlier column disagreed).
     auto check_engine = [&](const std::string& what,
-                            const InstantiateOptions& opt) {
-      if (!diff.empty() || !mc.detail.empty()) return;
+                            const InstantiateOptions& opt) -> std::string {
+      if (!diff.empty() || !mc.detail.empty()) return "";
       stage = what;
       IndexedStore store = seeded_lane(design.nest, sizes, 0);
       const RunMetrics got = execute(*prog, design.nest, sizes, store, opt);
@@ -229,6 +231,15 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
       }
       mc.expect_eq(ref.scheduler_rounds, got.scheduler_rounds,
                    what + " rounds");
+      return got.schedule;
+    };
+    auto expect_replayed = [&](const std::string& what,
+                               const std::string& schedule) {
+      if (diff.empty() && mc.detail.empty() && !schedule.empty() &&
+          schedule != "replayed") {
+        mc.detail = what + ": a cached plan's next VM run " + schedule +
+                    " instead of replaying its tape";
+      }
     };
 
     // The engine: the bytecode VM, solo, on the same plan.
@@ -238,9 +249,22 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
     vm.backend = Backend::Bytecode;
     check_engine("bytecode", vm);
 
-    // Bytecode SoA batch: every lane against its own sequential baseline.
-    if (diff.empty() && mc.detail.empty() && options.batch > 1) {
-      stage = "batch";
+    // Replay: on a fresh cache the first VM run walks and records the
+    // plan's tape, and the second replays it.
+    PlanCache cache;
+    InstantiateOptions cached = vm;
+    cached.plan_cache = &cache;
+    check_engine("record", cached);
+    expect_replayed("replay", check_engine("replay", cached));
+
+    // Bytecode SoA batch: every lane against its own sequential baseline,
+    // walked, then replayed from the tape the solo runs recorded.
+    auto check_batch = [&](const std::string& what,
+                           const InstantiateOptions& opt) -> std::string {
+      if (!diff.empty() || !mc.detail.empty() || options.batch <= 1) {
+        return "";
+      }
+      stage = what;
       std::vector<IndexedStore> lanes;
       std::vector<IndexedStore> lane_expected;
       for (std::size_t l = 0; l < options.batch; ++l) {
@@ -250,18 +274,21 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
         run_sequential(design.nest, sizes, lane_expected.back());
       }
       const RunMetrics got = execute_batch(*prog, design.nest, sizes,
-                                           lanes.data(), options.batch, vm);
+                                           lanes.data(), options.batch, opt);
       for (std::size_t l = 0; l < options.batch && diff.empty(); ++l) {
         diff = diff_stores(design.nest, lane_expected[l], lanes[l],
-                           "batch lane " + std::to_string(l));
+                           what + " lane " + std::to_string(l));
       }
-      mc.expect_eq(ref.makespan, got.makespan, "batch makespan");
+      mc.expect_eq(ref.makespan, got.makespan, what + " makespan");
       mc.expect_eq(ref.total_transfers, got.total_transfers,
-                   "batch transfers");
-      mc.expect_eq(ref.statements, got.statements, "batch statements");
+                   what + " transfers");
+      mc.expect_eq(ref.statements, got.statements, what + " statements");
       mc.expect_eq(ref.scheduler_rounds, got.scheduler_rounds,
-                   "batch rounds");
-    }
+                   what + " rounds");
+      return got.schedule;
+    };
+    check_batch("batch", vm);
+    expect_replayed("batch replay", check_batch("batch replay", cached));
 
     if (!diff.empty()) {
       result.outcome = Outcome::FalseAccept;

@@ -116,7 +116,10 @@ std::shared_ptr<const BytecodeProgram> lowered(
 
 // The VM: lower (or fetch) the program, run every instance as an SoA lane
 // of one dispatch, and de-interleave the outputs back into the stores.
-// Options must already have passed bytecode_blocker().
+// With a cache attached, the dispatch replays the plan's recorded tape
+// when one is stored and the round budget admits its recorded rounds;
+// otherwise it walks, and a complete walk records the plan's tape if none
+// is stored. Options must already have passed bytecode_blocker().
 void run_on_vm(const std::shared_ptr<const NetworkPlan>& plan,
                IndexedStore* stores, std::size_t batch,
                const InstantiateOptions& options, RunMetrics& metrics) {
@@ -150,9 +153,25 @@ void run_on_vm(const std::shared_ptr<const NetworkPlan>& plan,
   vopt.cancel = options.watchdog.cancel;
   vopt.cancel_reason = options.watchdog.cancel_reason;
   vopt.cancel_kind = options.watchdog.cancel_kind;
+  const VmTape* tape = bc_stats.tape.get();
+  if (tape != nullptr &&
+      (vopt.max_rounds == 0 || vopt.max_rounds >= tape->result.rounds)) {
+    vopt.replay = tape;
+    metrics.schedule = "replayed";
+  }
+  VmTape recorded;
+  if (options.plan_cache != nullptr && tape == nullptr) {
+    vopt.record = &recorded;
+    vopt.max_tape_entries =
+        options.plan_cache->byte_budget() / sizeof(VmTape::Entry);
+  }
   VmResult result =
       run_vm_batched(*prog, *plan, in.data(), out.data(), batch,
                      options.threads, options.worker_pool, vopt);
+  if (!recorded.empty()) {
+    options.plan_cache->store_tape(
+        *plan, std::make_shared<const VmTape>(std::move(recorded)));
+  }
 
   for (const NetworkPlan::ProcSpec& spec : plan->procs) {
     if (spec.kind != NetworkPlan::ProcKind::Output) continue;

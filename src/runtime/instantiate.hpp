@@ -76,7 +76,10 @@ struct InstantiateOptions {
   /// symbolic derivation is compiled once per (program, shape) into a
   /// PlanTemplate, and per-size NetworkPlans are expanded from it in pure
   /// integer arithmetic (and memoized under an LRU byte budget). The
-  /// cache must outlive the call.
+  /// cache also keeps each plan's lowered program and, after the plan's
+  /// first complete VM walk, that walk's tape, which later VM runs of the
+  /// plan replay (runtime/vm.hpp "Walk and replay"; RunMetrics::schedule).
+  /// The cache must outlive the call.
   PlanCache* plan_cache = nullptr;
   /// Prove the program rules, the loading cover and the plan rules of the
   /// static pipeline (analysis/verify.hpp) on the plan before spawning

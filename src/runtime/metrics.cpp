@@ -62,6 +62,7 @@ std::string RunMetrics::to_string() const {
     } else if (bytecode_lower_ns > 0) {
       os << " program=lowered(" << bytecode_lower_ns << "ns)";
     }
+    if (schedule == "replayed") os << " schedule=replayed";
   }
   if (!fallback_reason.empty()) {
     os << " backend=interp fallback=\"" << fallback_reason << '"';
@@ -94,6 +95,7 @@ std::string RunMetrics::to_json() const {
      << ",\"bytecode_reused\":" << (bytecode_reused ? "true" : "false")
      << ",\"bytecode_lower_ns\":" << bytecode_lower_ns
      << ",\"bytecode_instructions\":" << bytecode_instructions
+     << ",\"schedule\":\"" << json_escape(schedule) << '"'
      << ",\"transfers_per_stream\":{";
   bool first = true;
   for (const auto& [stream, count] : transfers_per_stream) {
@@ -114,6 +116,10 @@ std::string DeadlockReport::to_string() const {
       os << ' ' << cycle[i] << " -[" << cycle_channels[i] << "]->";
     }
     os << ' ' << cycle.front();
+  }
+  if (tape_position >= 0) {
+    os << "; replay stopped at tape entry " << tape_position << " of "
+       << tape_entries;
   }
   constexpr std::size_t kMaxShown = 12;
   for (std::size_t i = 0; i < blocked.size(); ++i) {
@@ -150,7 +156,12 @@ std::string DeadlockReport::to_json() const {
     if (i != 0) os << ',';
     os << '"' << json_escape(cycle_channels[i]) << '"';
   }
-  os << "]}";
+  os << ']';
+  if (tape_position >= 0) {
+    os << ",\"tape_position\":" << tape_position
+       << ",\"tape_entries\":" << tape_entries;
+  }
+  os << '}';
   return os.str();
 }
 

@@ -53,6 +53,10 @@ struct RunMetrics {
   Int bytecode_lower_ns = 0;
   /// Instruction count of the lowered program (0 on interp runs).
   std::size_t bytecode_instructions = 0;
+  /// How the VM ran the schedule: "walked" (ready queue, rendezvous and
+  /// clocks) or "replayed" (the plan's recorded tape, runtime/vm.hpp).
+  /// Interpreter runs walk.
+  std::string schedule = "walked";
   std::map<std::string, Int> transfers_per_stream;
 
   /// Fraction of computation-process time spent executing statements:
@@ -84,6 +88,10 @@ struct DeadlockReport {
   std::vector<BlockedOpState> blocked;
   std::vector<std::string> cycle;
   std::vector<std::string> cycle_channels;
+  /// A cancelled replay has no parked ops: it names the tape entry it
+  /// stopped before and the tape's length (-1 and 0 for a walk).
+  Int tape_position = -1;
+  Int tape_entries = 0;
 
   /// Human-readable multi-line rendering (used as the Error message).
   [[nodiscard]] std::string to_string() const;

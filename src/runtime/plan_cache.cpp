@@ -5,6 +5,7 @@
 
 #include "runtime/bytecode.hpp"
 #include "runtime/plan_template.hpp"
+#include "runtime/vm.hpp"
 
 namespace systolize {
 
@@ -171,7 +172,10 @@ std::shared_ptr<const BytecodeProgram> PlanCache::lookup_or_lower(
     if (it != bc_index_.end()) {
       ++bc_hits_;
       bc_lru_.splice(bc_lru_.begin(), bc_lru_, it->second);
-      if (stats != nullptr) stats->hit = true;
+      if (stats != nullptr) {
+        stats->hit = true;
+        stats->tape = it->second->tape;
+      }
       return it->second->program;
     }
   }
@@ -190,26 +194,63 @@ std::shared_ptr<const BytecodeProgram> PlanCache::lookup_or_lower(
   if (it != bc_index_.end()) {
     ++bc_hits_;
     bc_lru_.splice(bc_lru_.begin(), bc_lru_, it->second);
-    if (stats != nullptr) stats->hit = true;
+    if (stats != nullptr) {
+      stats->hit = true;
+      stats->tape = it->second->tape;
+    }
     return it->second->program;
   }
   ++bc_misses_;
   const std::size_t program_bytes = lowered->memory_bytes();
   bc_lru_.push_front(BytecodeEntry{plan.get(), std::move(plan),
-                                   std::move(lowered), program_bytes});
+                                   std::move(lowered), nullptr,
+                                   program_bytes, 0});
   bc_index_.emplace(bc_lru_.front().key, bc_lru_.begin());
   bc_bytes_ += program_bytes;
   evict_bytecode_locked();
   return bc_lru_.front().program;
 }
 
+void PlanCache::store_tape(const NetworkPlan& plan,
+                           std::shared_ptr<const VmTape> tape) {
+  const std::size_t bytes = tape->memory_bytes();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = bc_index_.find(&plan);
+  if (it == bc_index_.end() || it->second->tape != nullptr ||
+      bytes > budget_) {
+    return;
+  }
+  BytecodeEntry& entry = *it->second;
+  entry.tape = std::move(tape);
+  entry.tape_bytes = bytes;
+  entry.bytes += bytes;
+  bc_bytes_ += bytes;
+  ++tapes_;
+  tape_bytes_ += bytes;
+  evict_bytecode_locked();
+}
+
 void PlanCache::evict_bytecode_locked() {
   while (bc_bytes_ > budget_ && bc_lru_.size() > 1) {
     BytecodeEntry& victim = bc_lru_.back();
     bc_bytes_ -= victim.bytes;
+    if (victim.tape != nullptr) {
+      --tapes_;
+      tape_bytes_ -= victim.tape_bytes;
+    }
     bc_index_.erase(victim.key);
     bc_lru_.pop_back();
     ++bc_evictions_;
+  }
+  if (bc_bytes_ > budget_ && !bc_lru_.empty() &&
+      bc_lru_.front().tape != nullptr) {
+    BytecodeEntry& last = bc_lru_.front();
+    bc_bytes_ -= last.tape_bytes;
+    last.bytes -= last.tape_bytes;
+    --tapes_;
+    tape_bytes_ -= last.tape_bytes;
+    last.tape = nullptr;
+    last.tape_bytes = 0;
   }
 }
 
@@ -288,6 +329,16 @@ std::size_t PlanCache::bytecode_evictions() const {
 std::size_t PlanCache::bytecode_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bc_bytes_;
+}
+
+std::size_t PlanCache::tapes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tapes_;
+}
+
+std::size_t PlanCache::tape_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tape_bytes_;
 }
 
 std::uint64_t PlanCache::lower_ns() const {

@@ -118,8 +118,9 @@ struct NetworkPlan {
 
 struct PlanTemplate;    // runtime/plan_template.hpp
 struct BytecodeProgram; // runtime/bytecode.hpp
+struct VmTape;          // runtime/vm.hpp
 
-/// Thread-safe two-level memo built on the compile-once/specialize-cheaply
+/// Thread-safe memo built on the compile-once/specialize-cheaply
 /// split of runtime/plan_template.hpp:
 ///
 ///   * template level — one PlanTemplate per (program generation, shape).
@@ -133,6 +134,9 @@ struct BytecodeProgram; // runtime/bytecode.hpp
 ///     LRU eviction against a configurable byte budget measured with
 ///     NetworkPlan::memory_bytes(). A never-seen size costs one integer
 ///     expansion instead of a full symbolic derivation.
+///   * bytecode level — per plan, its lowered program and, once a VM walk
+///     of the plan completes, the walk's tape (runtime/vm.hpp), under the
+///     same byte budget (see lookup_or_lower and store_tape).
 ///
 /// Plans and templates are self-contained and handed out as shared_ptr,
 /// so entries stay valid across eviction and after the source program is
@@ -167,6 +171,9 @@ class PlanCache {
   struct BytecodeStats {
     bool hit = false;           ///< lowered program came from the cache
     std::uint64_t lower_ns = 0; ///< time spent in lower_plan (0 on hit)
+    /// The plan's recorded VM schedule, when one is stored (null on a
+    /// miss and before the plan's first complete walk).
+    std::shared_ptr<const VmTape> tape;
   };
 
   /// Third cache level: the lowered bytecode program of an expanded plan
@@ -179,11 +186,23 @@ class PlanCache {
       std::shared_ptr<const NetworkPlan> plan,
       BytecodeStats* stats = nullptr);
 
+  /// Publish the VM tape recorded by a complete walk of `plan` on the
+  /// plan's bytecode entry, where later lookup_or_lower() calls hand it
+  /// out. The first tape stored for a plan wins; a tape is refused when
+  /// the entry was evicted or the tape alone exceeds the byte budget.
+  /// Its bytes count against the bytecode level's budget and leave with
+  /// the entry; when eviction down to one entry is not enough, that
+  /// entry's tape goes too.
+  void store_tape(const NetworkPlan& plan, std::shared_ptr<const VmTape> tape);
+
   [[nodiscard]] std::size_t bytecode_size() const;    ///< cached programs
   [[nodiscard]] std::size_t bytecode_hits() const;
   [[nodiscard]] std::size_t bytecode_misses() const;  ///< lowerings
   [[nodiscard]] std::size_t bytecode_evictions() const;
+  /// Bytes of the bytecode level: lowered programs plus their tapes.
   [[nodiscard]] std::size_t bytecode_bytes() const;
+  [[nodiscard]] std::size_t tapes() const;       ///< entries with a tape
+  [[nodiscard]] std::size_t tape_bytes() const;  ///< their tapes' bytes
   /// Cumulative nanoseconds spent lowering plans to bytecode.
   [[nodiscard]] std::uint64_t lower_ns() const;
 
@@ -217,13 +236,16 @@ class PlanCache {
     const NetworkPlan* key = nullptr;
     std::shared_ptr<const NetworkPlan> plan;  ///< pins the key's identity
     std::shared_ptr<const BytecodeProgram> program;
-    std::size_t bytes = 0;
+    std::shared_ptr<const VmTape> tape;  ///< null until stored
+    std::size_t bytes = 0;               ///< program plus tape
+    std::size_t tape_bytes = 0;
   };
 
   /// Evict LRU entries until bytes_ <= budget_ (keeps >= 1 entry).
   /// Caller holds mu_.
   void evict_to_budget_locked();
-  /// Same, for the bytecode level's own byte accounting.
+  /// Same, for the bytecode level's own byte accounting; then, if the
+  /// one entry left is still over budget, drop its tape.
   void evict_bytecode_locked();
 
   std::size_t budget_;
@@ -246,6 +268,8 @@ class PlanCache {
   std::size_t bc_hits_ = 0;
   std::size_t bc_misses_ = 0;
   std::size_t bc_evictions_ = 0;
+  std::size_t tapes_ = 0;
+  std::size_t tape_bytes_ = 0;
   std::uint64_t lower_ns_ = 0;
 };
 

@@ -55,11 +55,14 @@ struct VmProc {
   bool in_ready = false;
 };
 
-class Vm {
+/// The values a run moves, shared by a walk and a replay: the lane-major
+/// register file, the instance-major in/out buffers, and each computation
+/// process's statement point and operand slots.
+class Lanes {
  public:
-  Vm(const BytecodeProgram& prog, const NetworkPlan& plan, const Value* in,
-     Value* out, std::size_t lane_stride, std::size_t lane_begin,
-     std::size_t lane_end)
+  Lanes(const BytecodeProgram& prog, const NetworkPlan& plan, const Value* in,
+        Value* out, std::size_t lane_stride, std::size_t lane_begin,
+        std::size_t lane_end)
       : prog_(prog),
         plan_(plan),
         in_(in),
@@ -67,15 +70,102 @@ class Vm {
         stride_(lane_stride),
         lane0_(lane_begin),
         nlanes_(lane_end - lane_begin) {
-    procs_.resize(plan.procs.size());
-    chans_.resize(plan.channels.size());
     regs_.assign(prog.num_regs * nlanes_, 0);
     comps_.resize(prog.comps.size());
     for (std::size_t i = 0; i < prog.comps.size(); ++i) {
-      const BytecodeProgram::CompMeta& meta = prog.comps[i];
       CompScratch& cs = comps_[i];
-      cs.x = meta.first_x;
+      cs.x = prog.comps[i].first_x;
       cs.vals.assign(plan.streams.size(), 0);
+    }
+  }
+
+  // Both lane ops are forced inline, and the walk's recording hook is
+  // kept out of line: otherwise GCC 12 -O3 stops inlining the ops into
+  // Vm::resume and a plain walk runs about 9% slower (closure n=32,
+  // BM_LowerAndWalk, pinned).
+
+  /// Move all lanes of a rendezvous value from the sender's location to
+  /// the receiver's. Lanes are contiguous in both views (instance-major
+  /// layout), so this is one dense copy of the whole batch.
+  [[gnu::always_inline]] void transfer(std::int64_t send_loc,
+                                       std::int64_t recv_loc) {
+    const Value* src = send_src(send_loc);
+    Value* dst = recv_dst(recv_loc);
+    for (std::size_t k = 0; k < nlanes_; ++k) dst[k] = src[k];
+  }
+
+  /// Run comp `comp`'s basic statement on every lane at its current
+  /// point, then advance the point by the chord increment.
+  [[gnu::always_inline]] void compute(std::size_t comp) {
+    CompScratch& cs = comps_[comp];
+    const BytecodeProgram::CompMeta& meta = prog_.comps[comp];
+    const std::size_t nslots = meta.slot_reg.size();
+    Value* vals = cs.vals.data();
+    for (std::size_t k = 0; k < nlanes_; ++k) {
+      for (std::size_t i = 0; i < nslots; ++i) {
+        vals[meta.slot_stream[i]] =
+            regs_[static_cast<std::size_t>(meta.slot_reg[i]) * nlanes_ + k];
+      }
+      plan_.body.apply(cs.x, vals);
+      for (std::size_t i = 0; i < nslots; ++i) {
+        regs_[static_cast<std::size_t>(meta.slot_reg[i]) * nlanes_ + k] =
+            vals[meta.slot_stream[i]];
+      }
+    }
+    cs.x += plan_.increment;
+  }
+
+ private:
+  struct CompScratch {
+    IntVec x;                 ///< current statement point of the chord
+    std::vector<Value> vals;  ///< the statement's slots, by stream id
+  };
+
+  [[nodiscard]] const Value* send_src(std::int64_t loc) const {
+    if (loc >= 0) {
+      return regs_.data() + static_cast<std::size_t>(loc) * nlanes_;
+    }
+    return in_ + static_cast<std::size_t>(-(loc + 1)) * stride_ + lane0_;
+  }
+
+  [[nodiscard]] Value* recv_dst(std::int64_t loc) {
+    if (loc >= 0) {
+      return regs_.data() + static_cast<std::size_t>(loc) * nlanes_;
+    }
+    return out_ + static_cast<std::size_t>(-(loc + 1)) * stride_ + lane0_;
+  }
+
+  const BytecodeProgram& prog_;
+  const NetworkPlan& plan_;
+  const Value* in_;
+  Value* out_;
+  std::size_t stride_;
+  std::size_t lane0_;
+  std::size_t nlanes_;
+  std::vector<Value> regs_;  ///< lane-major: regs_[r * nlanes_ + lane]
+  std::vector<CompScratch> comps_;
+};
+
+class Vm {
+ public:
+  Vm(const BytecodeProgram& prog, const NetworkPlan& plan, const Value* in,
+     Value* out, std::size_t lane_stride, std::size_t lane_begin,
+     std::size_t lane_end, const VmRunOptions& opt)
+      : prog_(prog),
+        plan_(plan),
+        lanes_(prog, plan, in, out, lane_stride, lane_begin, lane_end),
+        max_entries_(opt.max_tape_entries) {
+    procs_.resize(plan.procs.size());
+    chans_.resize(plan.channels.size());
+    if (opt.record != nullptr) {
+      *opt.record = {};
+      // A tape stores locations as int32 with kCompute reserved, so
+      // registers and element offsets must stay below INT32_MAX.
+      constexpr std::size_t kMaxLoc =
+          std::numeric_limits<std::int32_t>::max();
+      if (prog.num_regs <= kMaxLoc && plan.elems.size() <= kMaxLoc) {
+        record_ = opt.record;
+      }
     }
   }
 
@@ -128,15 +218,14 @@ class Vm {
       res.channel_transfers.push_back(c.transfers);
       res.total_transfers += c.transfers;
     }
+    if (record_ != nullptr) {
+      record_->entries.shrink_to_fit();
+      record_->result = res;
+    }
     return res;
   }
 
  private:
-  struct CompScratch {
-    IntVec x;                 ///< current statement point of the chord
-    std::vector<Value> vals;  ///< the statement's slots, by stream id
-  };
-
   void make_ready(std::uint32_t pid) {
     VmProc& p = procs_[pid];
     if (p.finished || p.in_ready) return;
@@ -144,27 +233,25 @@ class Vm {
     ready_.push_back(pid);
   }
 
-  [[nodiscard]] const Value* send_src(std::int64_t loc) const {
-    if (loc >= 0) {
-      return regs_.data() + static_cast<std::size_t>(loc) * nlanes_;
+  /// Append one tape entry, or give the recording up once the tape would
+  /// outgrow its cap.
+  [[gnu::cold, gnu::noinline]] void note(std::int64_t from, std::int64_t to) {
+    if (record_->entries.size() == max_entries_) {
+      drop_record();
+      return;
     }
-    return in_ + static_cast<std::size_t>(-(loc + 1)) * stride_ + lane0_;
+    record_->entries.push_back(VmTape::Entry{static_cast<std::int32_t>(from),
+                                             static_cast<std::int32_t>(to)});
   }
 
-  [[nodiscard]] Value* recv_dst(std::int64_t loc) {
-    if (loc >= 0) {
-      return regs_.data() + static_cast<std::size_t>(loc) * nlanes_;
-    }
-    return out_ + static_cast<std::size_t>(-(loc + 1)) * stride_ + lane0_;
+  void drop_record() {
+    record_->entries = {};
+    record_ = nullptr;
   }
 
-  /// Move all lanes of a rendezvous value from the sender's location to
-  /// the receiver's. Lanes are contiguous in both views (instance-major
-  /// layout), so this is one dense copy of the whole batch.
   void transfer(std::int64_t send_loc, std::int64_t recv_loc) {
-    const Value* src = send_src(send_loc);
-    Value* dst = recv_dst(recv_loc);
-    for (std::size_t k = 0; k < nlanes_; ++k) dst[k] = src[k];
+    if (record_ != nullptr) note(send_loc, recv_loc);
+    lanes_.transfer(send_loc, recv_loc);
   }
 
   /// Attempt a send; on rendezvous both sides advance to
@@ -219,20 +306,17 @@ class Vm {
 
   void resume(std::uint32_t pid);
 
+  /// Drops any partial recording, then raises the stall's forensics.
   [[noreturn]] void raise_vm_stall(const std::string& reason,
-                                   ErrorKind kind) const;
+                                   ErrorKind kind);
 
   const BytecodeProgram& prog_;
   const NetworkPlan& plan_;
-  const Value* in_;
-  Value* out_;
-  std::size_t stride_;
-  std::size_t lane0_;
-  std::size_t nlanes_;
+  Lanes lanes_;
+  VmTape* record_ = nullptr;  ///< the tape being recorded, if any
+  std::size_t max_entries_;
   std::vector<VmProc> procs_;
   std::vector<VmChan> chans_;
-  std::vector<Value> regs_;  ///< lane-major: regs_[r * nlanes_ + lane]
-  std::vector<CompScratch> comps_;
   std::vector<std::uint32_t> ready_;
   std::vector<std::uint32_t> batch_;
 };
@@ -391,26 +475,11 @@ dispatch:
   VM_DISPATCH();
 
   VM_CASE(Compute) {
-    CompScratch& cs = comps_[static_cast<std::size_t>(insn->a)];
-    const BytecodeProgram::CompMeta& meta =
-        prog_.comps[static_cast<std::size_t>(insn->a)];
-    const std::size_t nslots = meta.slot_reg.size();
-    Value* vals = cs.vals.data();
-    for (std::size_t k = 0; k < nlanes_; ++k) {
-      for (std::size_t i = 0; i < nslots; ++i) {
-        vals[meta.slot_stream[i]] =
-            regs_[static_cast<std::size_t>(meta.slot_reg[i]) * nlanes_ + k];
-      }
-      plan_.body.apply(cs.x, vals);
-      for (std::size_t i = 0; i < nslots; ++i) {
-        regs_[static_cast<std::size_t>(meta.slot_reg[i]) * nlanes_ + k] =
-            vals[meta.slot_stream[i]];
-      }
-    }
+    if (record_ != nullptr) note(VmTape::kCompute, insn->a);
+    lanes_.compute(static_cast<std::size_t>(insn->a));
     // tick_statement: the basic statement advances the clock by one.
     ++p.time;
     ++p.statements;
-    cs.x += plan_.increment;
     ++p.pc;
   }
   VM_DISPATCH();
@@ -438,7 +507,8 @@ dispatch:
 #undef VM_DISPATCH
 #undef VM_CASE
 
-void Vm::raise_vm_stall(const std::string& reason, ErrorKind kind) const {
+void Vm::raise_vm_stall(const std::string& reason, ErrorKind kind) {
+  if (record_ != nullptr) drop_record();
   // Rebuild the forensic wait-for state from the park slots: every
   // parked op becomes a BlockedOpState, and the first blocking cycle is
   // extracted by walking each blocked process to its channel counterpart
@@ -494,13 +564,49 @@ void Vm::raise_vm_stall(const std::string& reason, ErrorKind kind) const {
   raise(kind, report.to_string(), report.to_json());
 }
 
+/// Run a recorded tape over the lanes: the walk's moves in the walk's
+/// order, polling the cancel token every kReplayPoll entries.
+VmResult replay_tape(const VmTape& tape, Lanes& lanes,
+                     const VmRunOptions& opt) {
+  const VmTape::Entry* entries = tape.entries.data();
+  const std::size_t n = tape.entries.size();
+  for (std::size_t i = 0; i < n;) {
+    if (opt.cancel != nullptr && opt.cancel->load(std::memory_order_relaxed)) {
+      // Nothing is parked mid-replay: the report names the tape position.
+      DeadlockReport report;
+      report.reason = opt.cancel_reason;
+      report.tape_position = static_cast<Int>(i);
+      report.tape_entries = static_cast<Int>(n);
+      raise(opt.cancel_kind, report.to_string(), report.to_json());
+    }
+    for (const std::size_t end = std::min(n, i + kReplayPoll); i < end; ++i) {
+      const VmTape::Entry& e = entries[i];
+      if (e.from == VmTape::kCompute) {
+        lanes.compute(static_cast<std::size_t>(e.to));
+      } else {
+        lanes.transfer(e.from, e.to);
+      }
+    }
+  }
+  return tape.result;
+}
+
 }  // namespace
+
+std::size_t VmTape::memory_bytes() const {
+  return sizeof(VmTape) + entries.capacity() * sizeof(Entry) +
+         result.channel_transfers.capacity() * sizeof(Int);
+}
 
 VmResult run_vm(const BytecodeProgram& prog, const NetworkPlan& plan,
                 const Value* in, Value* out, std::size_t lane_stride,
                 std::size_t lane_begin, std::size_t lane_end,
                 const VmRunOptions& opt) {
-  Vm vm(prog, plan, in, out, lane_stride, lane_begin, lane_end);
+  if (opt.replay != nullptr) {
+    Lanes lanes(prog, plan, in, out, lane_stride, lane_begin, lane_end);
+    return replay_tape(*opt.replay, lanes, opt);
+  }
+  Vm vm(prog, plan, in, out, lane_stride, lane_begin, lane_end, opt);
   return vm.run(opt);
 }
 
@@ -526,6 +632,9 @@ VmResult run_vm_batched(const BytecodeProgram& prog, const NetworkPlan& plan,
   std::vector<std::exception_ptr> errors(workers);
   VmResult first;
   std::atomic<unsigned> next{0};
+  // Only the first chunk records; every chunk runs the same schedule.
+  VmRunOptions rest = opt;
+  rest.record = nullptr;
   // Chunks are claimed off an atomic counter, not assigned by worker
   // index: WorkerPool participants that are never started simply leave
   // their share to whoever is running (the caller at minimum).
@@ -534,7 +643,7 @@ VmResult run_vm_batched(const BytecodeProgram& prog, const NetworkPlan& plan,
          c < workers; c = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
         VmResult r = run_vm(prog, plan, in, out, lanes, chunks[c].first,
-                            chunks[c].second, opt);
+                            chunks[c].second, c == 0 ? opt : rest);
         if (c == 0) first = std::move(r);
       } catch (...) {
         errors[c] = std::current_exception();

@@ -35,10 +35,22 @@
 // across WorkerPool threads (run_vm_batched): each worker executes the
 // full schedule over its own lane chunk with private scalar state, so no
 // synchronization is needed beyond the final join.
+//
+// Walk and replay: because the schedule is value-independent, the
+// sequence of value moves a walk makes is a function of the plan alone.
+// A walk can record it as a tape (VmTape): every rendezvous as the pair
+// (sender location, receiver location) and every statement as its comp
+// id, in completion order, plus the walk's VmResult. Replaying the tape
+// makes exactly the walk's moves — one dense lane copy per transfer, one
+// Statement::apply per lane per compute — with no ready queue, park slots
+// or clocks, and returns the recorded VmResult. The tape holds no lane
+// count, so one tape serves a solo run, any batch and every lane chunk.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,16 +60,6 @@
 namespace systolize {
 
 class WorkerPool;
-
-struct VmRunOptions {
-  /// Round budget (0 = unbounded); trips Error(Timeout) like the
-  /// interpreter's watchdog.
-  Int max_rounds = 0;
-  /// External cancellation token, polled at round boundaries.
-  const std::atomic<bool>* cancel = nullptr;
-  std::string cancel_reason = "externally cancelled";
-  ErrorKind cancel_kind = ErrorKind::Cancelled;
-};
 
 /// Schedule metrics of one VM run. All fields are schedule properties,
 /// identical across lanes (and across lane chunks of a batched run).
@@ -69,12 +71,60 @@ struct VmResult {
   std::vector<Int> channel_transfers;  ///< by plan channel id
 };
 
+/// A walk's recorded schedule. Entry {from, to} is a transfer between two
+/// locations in the VM's encoding (`loc >= 0` a register, `loc < 0` the
+/// flat element offset -(loc)-1 of the in buffer for a sender and of the
+/// out buffer for a receiver); entry {kCompute, comp} runs the statement
+/// of comp meta `comp`. Each comp's statement point starts at
+/// CompMeta::first_x and advances by the plan's increment per apply, as in
+/// the walk. A plan whose locations do not fit in 32 bits is not recorded.
+struct VmTape {
+  struct Entry {
+    std::int32_t from = 0;
+    std::int32_t to = 0;
+  };
+  static constexpr std::int32_t kCompute =
+      std::numeric_limits<std::int32_t>::min();
+
+  std::vector<Entry> entries;  ///< in completion order
+  VmResult result;             ///< what the recorded walk returned
+
+  [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
+  /// Heap footprint, counted against PlanCache's bytecode budget.
+  [[nodiscard]] std::size_t memory_bytes() const;
+};
+
+struct VmRunOptions {
+  /// Round budget (0 = unbounded); trips Error(Timeout) like the
+  /// interpreter's watchdog. A replay has no rounds: its caller checks
+  /// the budget against the tape's recorded rounds.
+  Int max_rounds = 0;
+  /// External cancellation token, polled at round boundaries (every
+  /// kReplayPoll entries of a replay).
+  const std::atomic<bool>* cancel = nullptr;
+  std::string cancel_reason = "externally cancelled";
+  ErrorKind cancel_kind = ErrorKind::Cancelled;
+  /// When non-null, replay this tape (recorded from the same plan)
+  /// instead of walking.
+  const VmTape* replay = nullptr;
+  /// Walks only: when non-null, record the walk into *record. The tape is
+  /// kept only when the walk completes with at most `max_tape_entries`
+  /// entries and every location fits in 32 bits; otherwise *record is
+  /// left empty. A batched walk records on its first lane chunk.
+  VmTape* record = nullptr;
+  std::size_t max_tape_entries = std::numeric_limits<std::size_t>::max();
+};
+
+/// Tape entries a replay runs between two polls of the cancel token.
+inline constexpr std::size_t kReplayPoll = 4096;
+
 /// Execute `prog` (lowered from `plan`) over lanes [lane_begin, lane_end)
 /// of instance-major buffers with `lane_stride` total lanes: element e of
 /// lane l lives at in[e * lane_stride + l] / out[e * lane_stride + l],
 /// both aligned with plan.elems. Throws Error(Runtime) with a forensic
 /// DeadlockReport on stall, Error(Timeout) on budget exhaustion, and
-/// `opt.cancel_kind` on cancellation.
+/// `opt.cancel_kind` on cancellation (a cancelled replay's report names
+/// its tape position instead of parked ops).
 [[nodiscard]] VmResult run_vm(const BytecodeProgram& prog,
                               const NetworkPlan& plan, const Value* in,
                               Value* out, std::size_t lane_stride,

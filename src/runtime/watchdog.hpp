@@ -44,8 +44,9 @@ struct WatchdogConfig {
   /// forensic report of where every process stood. This is how wall-clock
   /// deadlines reach the scheduler — a timer thread sets the flag, the
   /// scheduler notices between rounds (it never blocks inside a round, so
-  /// the check granularity is one cooperative round). The pointee must
-  /// outlive the run.
+  /// the check granularity is one cooperative round). A replayed VM run
+  /// (runtime/vm.hpp) checks every kReplayPoll tape entries and reports
+  /// its tape position instead. The pointee must outlive the run.
   const std::atomic<bool>* cancel = nullptr;
   /// Reason string reported when `cancel` fires (e.g. the deadline that
   /// expired); kind classifies it — Timeout for deadlines (retryable),

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <new>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <thread>
+#include <utility>
 
 #include "analysis/cost.hpp"
 #include "analysis/verify.hpp"
@@ -56,31 +60,95 @@ Response error_response(const Request& req, const Error& e, Int retries) {
   return r;
 }
 
+/// The one timer thread behind every DeadlineTimer: a queue of (deadline,
+/// token) ordered by deadline. The thread sleeps until the earliest
+/// deadline it knows of, sets every token that is due, and drops those
+/// entries; tokens are set under the queue's lock, so once cancel()
+/// returns the entry can never fire. A cancel never wakes the thread (it
+/// wakes at the old time, finds nothing due and sleeps on), and a
+/// schedule wakes it only for a deadline earlier than its wake-up time.
+class DeadlineQueue {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  static DeadlineQueue& instance() {
+    static DeadlineQueue queue;  // destroyed, and its thread joined, at exit
+    return queue;
+  }
+
+  ~DeadlineQueue() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  void schedule(Clock::time_point when, std::atomic<bool>* token) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
+    queue_.emplace(when, token);
+    if (when < wake_at_) {
+      wake_at_ = when;
+      cv_.notify_one();
+    }
+  }
+
+  void cancel(Clock::time_point when, std::atomic<bool>* token) {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.erase({when, token});
+  }
+
+ private:
+  DeadlineQueue() = default;
+
+  void loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stop_) {
+      const Clock::time_point now = Clock::now();
+      while (!queue_.empty() && queue_.begin()->first <= now) {
+        queue_.begin()->second->store(true, std::memory_order_relaxed);
+        queue_.erase(queue_.begin());
+      }
+      if (queue_.empty()) {
+        wake_at_ = Clock::time_point::max();
+        cv_.wait(lock);
+      } else {
+        wake_at_ = queue_.begin()->first;
+        cv_.wait_until(lock, wake_at_);
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<std::pair<Clock::time_point, std::atomic<bool>*>> queue_;
+  /// When the thread next wakes on its own (max: only when notified).
+  Clock::time_point wake_at_ = Clock::time_point::max();
+  bool stop_ = false;
+  std::thread thread_;
+};
+
 }  // namespace
 
 void DeadlineTimer::arm(Int ms) {
   if (ms <= 0) return;
   disarm();
   fired_.store(false, std::memory_order_relaxed);
-  stop_ = false;
-  thread_ = std::thread([this, ms] {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (cv_.wait_for(lock, std::chrono::milliseconds(ms),
-                     [this] { return stop_; })) {
-      return;  // disarmed before the deadline
-    }
-    fired_.store(true, std::memory_order_relaxed);
-  });
+  // About 31 years: far enough to never fire, near enough that the
+  // steady clock's nanosecond count cannot overflow.
+  constexpr Int kMaxMs = Int{1'000'000'000'000};
+  deadline_ = std::chrono::steady_clock::now() +
+              std::chrono::milliseconds(std::min(ms, kMaxMs));
+  DeadlineQueue::instance().schedule(deadline_, &fired_);
+  armed_ = true;
 }
 
 void DeadlineTimer::disarm() {
-  if (!thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
+  if (!armed_) return;
+  DeadlineQueue::instance().cancel(deadline_, &fired_);
+  armed_ = false;
 }
 
 Executor::Executor(ExecutorConfig config)
@@ -286,6 +354,7 @@ void Executor::note_run_metrics(const RunMetrics& metrics) {
     ++bytecode_runs_;
     bytecode_instances_ += metrics.batch;
     max_batch_ = std::max(max_batch_, metrics.batch);
+    if (metrics.schedule == "replayed") ++replays_;
   }
 }
 
@@ -466,6 +535,7 @@ Response Executor::handle_static(const Request& req) {
 
 std::string Executor::stats_json() const {
   std::ostringstream os;
+  std::size_t replays = 0;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     os << "{\"requests\":{";
@@ -486,6 +556,7 @@ std::string Executor::stats_json() const {
        << ",\"max_batch\":" << max_batch_
        << ",\"coalesced_groups\":" << coalesced_groups_
        << ",\"coalesced_requests\":" << coalesced_requests_ << '}';
+    replays = replays_;
   }
   os << ",\"plan_cache\":{\"plans\":" << plan_cache_.size()
      << ",\"hits\":" << plan_cache_.hits()
@@ -499,7 +570,10 @@ std::string Executor::stats_json() const {
      << ",\"bytecode_hits\":" << plan_cache_.bytecode_hits()
      << ",\"bytecode_misses\":" << plan_cache_.bytecode_misses()
      << ",\"bytecode_evictions\":" << plan_cache_.bytecode_evictions()
-     << ",\"bytecode_bytes\":" << plan_cache_.bytecode_bytes() << '}';
+     << ",\"bytecode_bytes\":" << plan_cache_.bytecode_bytes()
+     << ",\"tapes\":" << plan_cache_.tapes()
+     << ",\"tape_bytes\":" << plan_cache_.tape_bytes()
+     << ",\"replays\":" << replays << '}';
   os << ",\"degradation\":" << degradation_.to_json();
   if (queue_ != nullptr) {
     os << ",\"admission\":{\"admitted\":" << queue_->admitted()

@@ -21,12 +21,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "designs/catalog.hpp"
@@ -45,11 +44,15 @@ namespace systolize::service {
 
 class RequestQueue;
 
-/// One-shot wall-clock deadline: arm(ms) starts a timer thread that sets
-/// the cancel token when the deadline passes; the scheduler polls the
-/// token at round boundaries (WatchdogConfig::cancel) and turns it into a
-/// structured Error. Destruction (or disarm) joins the thread without
-/// firing. One timer per run attempt.
+/// One-shot wall-clock deadline: arm(ms) sets the cancel token once the
+/// deadline passes; the engines poll the token (WatchdogConfig::cancel)
+/// at round boundaries, or every few thousand entries of a replay, and
+/// turn it into a structured Error. All timers share one process-wide
+/// timer thread over a deadline queue: it starts on the first arm, wakes
+/// only when an arm brings the earliest deadline forward, and is joined at
+/// exit. disarm (and destruction) takes the timer off the queue; a
+/// disarmed timer never fires. One timer per run attempt; arm and disarm
+/// are called by the timer's owner.
 class DeadlineTimer {
  public:
   DeadlineTimer() = default;
@@ -66,10 +69,8 @@ class DeadlineTimer {
 
  private:
   std::atomic<bool> fired_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
+  bool armed_ = false;  ///< may still be on the timer thread's queue
+  std::chrono::steady_clock::time_point deadline_;
 };
 
 struct ExecutorConfig {
@@ -194,6 +195,7 @@ class Executor {
   std::size_t max_batch_ = 0;           ///< widest single dispatch seen
   std::size_t coalesced_groups_ = 0;    ///< shared dispatches (group > 1)
   std::size_t coalesced_requests_ = 0;  ///< requests riding those groups
+  std::size_t replays_ = 0;  ///< dispatches that replayed a recorded tape
 };
 
 }  // namespace systolize::service

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "service/checked_run.hpp"
 #include "service/json.hpp"
 #include "support/error.hpp"
 
@@ -80,11 +81,10 @@ Request parse_request(const std::string& line) {
   if (req.batch < 1) {
     raise(ErrorKind::Validation, "\"batch\" must be >= 1");
   }
-  if (!req.backend.empty() && req.backend != "interp" &&
-      req.backend != "bytecode") {
+  if (!backend_named(req.backend).has_value()) {
     raise(ErrorKind::Validation,
           "unknown backend \"" + req.backend +
-              "\" (expected \"interp\" or \"bytecode\")");
+              "\" (expected \"auto\", \"interp\" or \"bytecode\")");
   }
   const bool needs_design = req.op == "compile" || req.op == "expand" ||
                             req.op == "run" || req.op == "verify" ||

@@ -21,7 +21,7 @@
 //   verify           run op: differential-check against the sequential
 //                    baseline (the CLI's "verify: OK")
 //   inject           fault plan, FaultPlan::parse syntax
-//   backend          "" (auto) | "interp" | "bytecode" — execution engine
+//   backend          "" or "auto" | "interp" | "bytecode" — execution engine
 //   batch            independent problem instances per run (default 1);
 //                    eligible runs execute as SoA lanes of one bytecode
 //                    dispatch, faulted ones replay per instance with

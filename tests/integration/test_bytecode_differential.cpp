@@ -1,25 +1,50 @@
 // Differential suite for the bytecode backend (runtime/bytecode +
-// runtime/vm): on every catalog design the lowered VM must be
+// runtime/vm): on every shipped design the lowered VM must be
 // bit-identical to the interpreter — results, makespan,
 // transfer counts, statement counts AND scheduler rounds — because both
 // engines implement the same dataflow-clock semantics over the same
 // round structure. SoA batching must additionally reproduce, per lane,
-// exactly what a per-instance sequential run produces.
+// exactly what a per-instance sequential run produces, and a replay of a
+// plan's recorded tape must reproduce the walk it was recorded from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
+#include "frontend/parser.hpp"
 #include "runtime/instantiate.hpp"
+#include "runtime/worker_pool.hpp"
 #include "scheme/compiler.hpp"
+#include "service/executor.hpp"
 
 #include "pseudo_random.hpp"
+
+#ifndef SYSTOLIZE_DESIGN_DIR
+#define SYSTOLIZE_DESIGN_DIR "designs"
+#endif
 
 namespace systolize {
 namespace {
 
 using testutil::pseudo_random;
+
+/// A catalog design by name, or designs/<name>.sa for the shipped designs
+/// outside the catalog (the guarded masked_polyprod and banded_matmul).
+Design load_design(const std::string& name) {
+  const std::vector<std::string> catalog = catalog_names();
+  if (std::find(catalog.begin(), catalog.end(), name) != catalog.end()) {
+    return design_by_name(name);
+  }
+  std::ifstream in(std::string(SYSTOLIZE_DESIGN_DIR) + "/" + name + ".sa");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return frontend::parse_design(text.str());
+}
 
 Env sizes_for(const Design& design, Int n, Int m) {
   Env env{{"n", Rational(n)}};
@@ -65,7 +90,7 @@ InstantiateOptions interp_opt() {
 class BytecodeDifferential : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BytecodeDifferential, BytecodeMatchesInterpBitForBit) {
-  Design design = design_by_name(GetParam());
+  Design design = load_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   for (Int n : {2, 4}) {
     Env sizes = sizes_for(design, n, std::max<Int>(1, n - 1));
@@ -92,7 +117,7 @@ TEST_P(BytecodeDifferential, BytecodeMatchesInterpBitForBit) {
 }
 
 TEST_P(BytecodeDifferential, BatchedLanesMatchPerInstanceRuns) {
-  Design design = design_by_name(GetParam());
+  Design design = load_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   Env sizes = sizes_for(design, 4, 3);
   constexpr std::size_t kBatch = 5;
@@ -129,7 +154,7 @@ TEST_P(BytecodeDifferential, BatchedLanesMatchPerInstanceRuns) {
 }
 
 TEST_P(BytecodeDifferential, ThreadedBatchMatchesSequentialBatch) {
-  Design design = design_by_name(GetParam());
+  Design design = load_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   Env sizes = sizes_for(design, 3, 2);
   constexpr std::size_t kBatch = 6;
@@ -156,7 +181,7 @@ TEST_P(BytecodeDifferential, ThreadedBatchMatchesSequentialBatch) {
 }
 
 TEST_P(BytecodeDifferential, InterpBatchFallbackMatchesVmBatch) {
-  Design design = design_by_name(GetParam());
+  Design design = load_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   Env sizes = sizes_for(design, 3, 2);
   constexpr std::size_t kBatch = 3;
@@ -182,12 +207,277 @@ TEST_P(BytecodeDifferential, InterpBatchFallbackMatchesVmBatch) {
   EXPECT_EQ(vm.scheduler_rounds, interp.scheduler_rounds) << GetParam();
 }
 
+/// A run's metrics with the lookup's cache outcome and the schedule field
+/// cleared: what a replay must reproduce of the walk, field for field.
+std::string schedule_fields(RunMetrics m) {
+  m.schedule.clear();
+  m.plan_reused = false;
+  m.template_reused = false;
+  m.plan_expand_ns = 0;
+  m.plan_cache_bytes = 0;
+  m.plan_cache_evictions = 0;
+  m.bytecode_reused = false;
+  m.bytecode_lower_ns = 0;
+  return m.to_json();
+}
+
+std::vector<IndexedStore> seeded_lanes(const Design& design, const Env& sizes,
+                                       std::size_t lanes) {
+  std::vector<IndexedStore> stores;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    stores.push_back(seeded_lane(design, sizes, static_cast<Int>(l)));
+  }
+  return stores;
+}
+
+/// Records `design`'s tape at `sizes` into `cache` with one solo run.
+RunMetrics record_tape(const CompiledProgram& prog, const Design& design,
+                       const Env& sizes, PlanCache& cache) {
+  InstantiateOptions opt;
+  opt.plan_cache = &cache;
+  IndexedStore store = seeded(design, sizes);
+  RunMetrics m = execute(prog, design.nest, sizes, store, opt);
+  EXPECT_EQ(m.schedule, "walked");
+  EXPECT_EQ(cache.tapes(), 1u);
+  return m;
+}
+
+TEST_P(BytecodeDifferential, ReplayMatchesWalkSoloBatchedAndChunked) {
+  Design design = load_design(GetParam());
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes = sizes_for(design, 4, 3);
+  // One tape, recorded solo, serves every lane count and lane chunking.
+  PlanCache cache;
+  (void)record_tape(prog, design, sizes, cache);
+  WorkerPool pool(2);
+  struct Shape {
+    std::size_t lanes;
+    unsigned threads;
+  };
+  for (const Shape shape : {Shape{1, 0}, Shape{3, 0}, Shape{64, 0},
+                            Shape{6, 2}}) {
+    const std::string what = GetParam() + " lanes=" +
+                             std::to_string(shape.lanes) +
+                             " threads=" + std::to_string(shape.threads);
+    InstantiateOptions opt;
+    opt.threads = shape.threads;
+    opt.worker_pool = shape.threads > 1 ? &pool : nullptr;
+    std::vector<IndexedStore> walked = seeded_lanes(design, sizes, shape.lanes);
+    std::vector<IndexedStore> replayed = walked;
+    const RunMetrics walk = execute_batch(prog, design.nest, sizes,
+                                          walked.data(), shape.lanes, opt);
+    opt.plan_cache = &cache;
+    const RunMetrics replay = execute_batch(prog, design.nest, sizes,
+                                            replayed.data(), shape.lanes, opt);
+    EXPECT_EQ(walk.schedule, "walked") << what;
+    EXPECT_EQ(replay.schedule, "replayed") << what;
+    EXPECT_EQ(schedule_fields(walk), schedule_fields(replay)) << what;
+    for (std::size_t l = 0; l < shape.lanes; ++l) {
+      expect_same_stores(design, walked[l], replayed[l],
+                         what + " lane " + std::to_string(l));
+    }
+  }
+  EXPECT_EQ(cache.tapes(), 1u);
+}
+
+TEST_P(BytecodeDifferential, RoundBudgetBelowTheRecordedRoundsWalks) {
+  Design design = load_design(GetParam());
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes = sizes_for(design, 3, 2);
+  PlanCache cache;
+  const Int rounds = record_tape(prog, design, sizes, cache).scheduler_rounds;
+  ASSERT_GT(rounds, 1);
+  InstantiateOptions opt;
+  opt.plan_cache = &cache;
+  opt.watchdog.max_rounds = rounds - 1;
+  IndexedStore store = seeded(design, sizes);
+  try {
+    (void)execute(prog, design.nest, sizes, store, opt);
+    FAIL() << GetParam() << ": expected Error(Timeout)";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Timeout) << GetParam();
+    EXPECT_NE(std::string(e.what()).find("round budget"), std::string::npos)
+        << GetParam();
+  }
+  opt.watchdog.max_rounds = rounds;
+  store = seeded(design, sizes);
+  EXPECT_EQ(execute(prog, design.nest, sizes, store, opt).schedule,
+            "replayed")
+      << GetParam();
+}
+
+TEST_P(BytecodeDifferential, CancelledReplayClassifiesLikeACancelledWalk) {
+  Design design = load_design(GetParam());
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes = sizes_for(design, 3, 2);
+  PlanCache cache;
+  (void)record_tape(prog, design, sizes, cache);
+  std::atomic<bool> cancel{true};
+  InstantiateOptions opt;
+  opt.watchdog.cancel = &cancel;
+  opt.watchdog.cancel_reason = "stop here";
+  auto failure = [&](const InstantiateOptions& o) -> Error {
+    IndexedStore store = seeded(design, sizes);
+    try {
+      (void)execute(prog, design.nest, sizes, store, o);
+    } catch (const Error& e) {
+      return e;
+    }
+    ADD_FAILURE() << GetParam() << ": expected the run to be cancelled";
+    return Error(ErrorKind::Internal, "not cancelled");
+  };
+  const Error walk = failure(opt);  // no cache: a walk
+  opt.plan_cache = &cache;
+  const Error replay = failure(opt);
+  EXPECT_EQ(walk.kind(), ErrorKind::Cancelled) << GetParam();
+  EXPECT_EQ(replay.kind(), ErrorKind::Cancelled) << GetParam();
+  EXPECT_EQ(std::string(replay.what()).rfind("stop here: 0 blocked op(s)", 0),
+            0u)
+      << replay.what();
+  EXPECT_NE(replay.diagnostic().find("\"reason\":\"stop here\""),
+            std::string::npos)
+      << replay.diagnostic();
+  EXPECT_NE(replay.diagnostic().find("\"tape_position\":0"),
+            std::string::npos)
+      << replay.diagnostic();
+
+  // A wall-clock deadline that has passed cancels the replay as Timeout.
+  service::DeadlineTimer deadline;
+  deadline.arm(1);
+  while (!deadline.fired()) std::this_thread::yield();
+  opt.watchdog.cancel = deadline.token();
+  opt.watchdog.cancel_kind = ErrorKind::Timeout;
+  opt.watchdog.cancel_reason = "wall-clock deadline of 1ms exceeded";
+  const Error timed_out = failure(opt);
+  EXPECT_EQ(timed_out.kind(), ErrorKind::Timeout) << GetParam();
+  EXPECT_FALSE(timed_out.diagnostic().empty()) << GetParam();
+  EXPECT_EQ(cache.tapes(), 1u);
+}
+
+TEST_P(BytecodeDifferential, FailedWalksStoreNoTape) {
+  Design design = load_design(GetParam());
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes = sizes_for(design, 3, 2);
+  PlanCache cache;
+  InstantiateOptions opt;
+  opt.plan_cache = &cache;
+  std::atomic<bool> cancel{true};
+  opt.watchdog.cancel = &cancel;
+  IndexedStore store = seeded(design, sizes);
+  EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
+  opt.watchdog.cancel = nullptr;
+  opt.watchdog.max_rounds = 2;
+  store = seeded(design, sizes);
+  EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
+  EXPECT_EQ(cache.tapes(), 0u) << GetParam();
+  EXPECT_EQ(cache.tape_bytes(), 0u) << GetParam();
+  // The next complete walk records.
+  opt.watchdog.max_rounds = 0;
+  store = seeded(design, sizes);
+  EXPECT_EQ(execute(prog, design.nest, sizes, store, opt).schedule, "walked");
+  EXPECT_EQ(cache.tapes(), 1u) << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDesigns, BytecodeDifferential,
                          ::testing::Values("polyprod1", "polyprod2",
                                            "polyprod3", "matmul1", "matmul2",
                                            "matmul3", "matmul4",
                                            "convolution", "correlation",
-                                           "fir_bank", "closure"));
+                                           "fir_bank", "closure",
+                                           "masked_polyprod",
+                                           "banded_matmul"));
+
+TEST(BytecodeReplay, DeadlockedWalkStoresNoTape) {
+  // A fuzz reproducer whose rendezvous network deadlocks at every size.
+  const Design design = frontend::parse_design(
+      "design fuzz_1\n"
+      "sizes n >= 1\n"
+      "loop i = 0 .. n\n"
+      "loop j = 0 .. n\n"
+      "stream a[-i + j] read dims [-n .. n]\n"
+      "stream u[i - j] update dims [-n .. n]\n"
+      "stream b[i + j] read dims [0 .. 2*n]\n"
+      "stream c[j] read dims [0 .. n]\n"
+      "body u := u + a + b + c\n"
+      "step i\n"
+      "place (j)\n"
+      "load c = (1)\n");
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes{{"n", Rational(3)}};
+  PlanCache cache;
+  InstantiateOptions opt;
+  opt.plan_cache = &cache;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    IndexedStore store = seeded(design, sizes);
+    try {
+      (void)execute(prog, design.nest, sizes, store, opt);
+      FAIL() << "expected the walk to deadlock";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Runtime);
+      EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+    }
+  }
+  EXPECT_EQ(cache.tapes(), 0u);
+  EXPECT_EQ(cache.bytecode_size(), 1u);
+}
+
+TEST(BytecodeReplay, TapeBytesCountAgainstTheBudget) {
+  Design design = design_by_name("polyprod1");
+  CompiledProgram prog = compile(design.nest, design.spec);
+  PlanCache cache;
+  InstantiateOptions opt;
+  opt.plan_cache = &cache;
+  for (Int n : {2, 3, 4}) {
+    const Env sizes{{"n", Rational(n)}};
+    IndexedStore store = seeded(design, sizes);
+    const std::size_t before = cache.bytecode_bytes();
+    const std::size_t tape_before = cache.tape_bytes();
+    (void)execute(prog, design.nest, sizes, store, opt);
+    const std::size_t tape = cache.tape_bytes() - tape_before;
+    EXPECT_GT(tape, 0u) << "n=" << n;
+    EXPECT_GT(cache.bytecode_bytes() - before, tape) << "n=" << n;
+  }
+  EXPECT_EQ(cache.tapes(), 3u);
+  // Shrinking the budget evicts down to one entry and drops its tape.
+  cache.set_byte_budget(1);
+  EXPECT_EQ(cache.bytecode_size(), 1u);
+  EXPECT_EQ(cache.tapes(), 0u);
+  EXPECT_EQ(cache.tape_bytes(), 0u);
+  // Under a budget no tape fits, every run walks and records nothing,
+  // with unchanged results.
+  const Env sizes{{"n", Rational(4)}};
+  IndexedStore cached = seeded(design, sizes);
+  IndexedStore fresh = cached;
+  const RunMetrics m = execute(prog, design.nest, sizes, cached, opt);
+  EXPECT_EQ(m.schedule, "walked");
+  EXPECT_EQ(cache.tapes(), 0u);
+  (void)execute(prog, design.nest, sizes, fresh, InstantiateOptions{});
+  expect_same_stores(design, cached, fresh, "budget 1");
+  // Restoring the budget lets the next walk record again.
+  cache.set_byte_budget(PlanCache::kDefaultByteBudget);
+  (void)execute(prog, design.nest, sizes, cached, opt);
+  EXPECT_EQ(cache.tapes(), 1u);
+}
+
+TEST(BytecodeReplay, InterpreterRunsNeitherRecordNorReplay) {
+  Design design = design_by_name("polyprod1");
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes{{"n", Rational(3)}};
+  PlanCache cache;
+  InstantiateOptions opt;
+  opt.plan_cache = &cache;
+  opt.channel_capacity = 1;  // a bytecode blocker: the interpreter runs
+  for (int i = 0; i < 2; ++i) {
+    IndexedStore store = seeded(design, sizes);
+    EXPECT_EQ(execute(prog, design.nest, sizes, store, opt).schedule,
+              "walked");
+  }
+  opt.channel_capacity = 0;
+  opt.backend = Backend::Interp;
+  IndexedStore store = seeded(design, sizes);
+  EXPECT_EQ(execute(prog, design.nest, sizes, store, opt).schedule, "walked");
+  EXPECT_EQ(cache.tapes(), 0u);
+}
 
 TEST(BytecodeValidation, RejectsIncompatibleOptions) {
   Design design = design_by_name("polyprod1");

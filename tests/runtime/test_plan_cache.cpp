@@ -215,6 +215,46 @@ TEST(PlanCache, ConcurrentHammeringCompilesEachTemplateOnce) {
   EXPECT_EQ(cache.size(), names.size() * ns.size());
 }
 
+// Two workers racing the first run of one plan both walk and both try to
+// publish a tape: the first insert wins, one tape is stored, and every run
+// — walked or replayed — matches the sequential baseline.
+TEST(PlanCache, RacingFirstRunsStoreOneTape) {
+  Design design = design_by_name("matmul2");
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const Env sizes = sizes_for(design, 5);
+  IndexedStore expected = make_initial_store(
+      design.nest, sizes, [](const std::string&, const IntVec& p) {
+        return p.dim() > 0 ? p[0] + 2 : 1;
+      });
+  IndexedStore seed = expected;
+  run_sequential(design.nest, sizes, expected);
+  for (int round = 0; round < 8; ++round) {
+    PlanCache cache;
+    InstantiateOptions opt;
+    opt.plan_cache = &cache;
+    constexpr int kThreads = 2;
+    constexpr int kRuns = 3;
+    std::atomic<int> ready{0};
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int r = 0; r < kRuns; ++r) {
+          IndexedStore store = seed;
+          (void)execute(prog, design.nest, sizes, store, opt);
+          if (!(store == expected)) ++mismatches[t];
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+    EXPECT_EQ(cache.tapes(), 1u);
+    EXPECT_EQ(cache.bytecode_size(), 1u);
+  }
+}
+
 // The daemon's worst case: many client threads, several distinct program
 // generations (fresh compiles of the same designs), and a byte budget so
 // small that plans churn through the LRU constantly. Every lookup must

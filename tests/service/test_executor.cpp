@@ -132,6 +132,31 @@ TEST(Executor, WarmRunsHitTheSharedPlanCache) {
   EXPECT_GE(ex.plan_cache().hits(), 1u);
 }
 
+TEST(Executor, WarmRunsReplayTheRecordedScheduleAndStatsCountIt) {
+  // The first run of a plan walks and records its tape; every later run,
+  // solo or batched, replays it, and the stats count each replay.
+  Executor ex(fast_config());
+  Request req = run_req("matmul2");
+  req.verify = true;
+  std::vector<std::string> schedules;
+  for (Int batch : {1, 1, 1, 5}) {
+    req.batch = batch;
+    Response r = ex.handle(req);
+    ASSERT_EQ(r.status, "ok") << r.message;
+    schedules.push_back(Json::parse(r.metrics_json).str_or("schedule", ""));
+  }
+  EXPECT_EQ(schedules, (std::vector<std::string>{"walked", "replayed",
+                                                 "replayed", "replayed"}));
+  Request stats;
+  stats.op = "stats";
+  Json doc = Json::parse(ex.handle(stats).data_json);
+  const Json* pc = doc.get("plan_cache");
+  ASSERT_NE(pc, nullptr);
+  EXPECT_EQ(pc->int_or("tapes", 0), 1);
+  EXPECT_GT(pc->int_or("tape_bytes", 0), 0);
+  EXPECT_EQ(pc->int_or("replays", 0), 3);
+}
+
 TEST(Executor, ExpandReportsPlanShapeAndCacheOutcome) {
   Executor ex(fast_config());
   Request req;

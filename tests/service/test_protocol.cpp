@@ -54,6 +54,26 @@ TEST(Protocol, BackendAndBatchDefaultsStayOffTheWire) {
   EXPECT_EQ(back.batch, 1);
 }
 
+TEST(Protocol, BackendNamesMatchTheCli) {
+  // The wire takes the names `systolize run --backend` takes.
+  for (const char* name : {"auto", "interp", "bytecode"}) {
+    const Request req = parse_request(
+        std::string("{\"op\":\"run\",\"design\":\"x\",\"backend\":\"") +
+        name + "\"}");
+    EXPECT_EQ(req.backend, name);
+  }
+  try {
+    (void)parse_request("{\"op\":\"run\",\"design\":\"x\",\"backend\":\"jit\"}");
+    FAIL() << "expected rejection of backend \"jit\"";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Validation);
+    const std::string what = e.what();
+    for (const char* name : {"\"auto\"", "\"interp\"", "\"bytecode\""}) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Protocol, RequestValidationRejectsGarbage) {
   struct Case {
     const char* line;

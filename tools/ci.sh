@@ -234,20 +234,23 @@ echo "=== thread sanitizer: plan cache + batched VM lane workers ==="
 cmake -B "${repo}/build-tsan" -S "${repo}" -DSYSTOLIZE_SANITIZE=thread
 cmake --build "${repo}/build-tsan" -j "${jobs}" --target test_runtime \
   test_service
+# PlanCache.RacingFirstRunsStoreOneTape races two first runs of one plan,
+# which both record a tape and publish it on the bytecode entry.
 "${repo}/build-tsan/tests/test_runtime" --gtest_filter='PlanCache.*'
 # The LaneWorkers tests split batched VM dispatches into lane chunks over
 # a shared WorkerPool, a starved one and none — under TSan they exercise
 # the pool hand-off and the chunk claim loop of run_vm_batched.
 "${repo}/build-tsan/tests/test_runtime" --gtest_filter='LaneWorkers.*'
 
-echo "=== thread sanitizer: coalesced batched serve ==="
+echo "=== thread sanitizer: coalesced batched serve + deadline thread ==="
 # The coalescing path under TSan: pop_group's backlog sweep, the shared
 # batched VM dispatch chunked over the worker pool, and the per-backend
 # stats counters all race 8 pipelined clients against 2 workers in the
 # coalescing soak; the executor group/batch tests cover the same code
-# single-threaded with exact counter assertions.
+# single-threaded with exact counter assertions. The DeadlineTimer tests
+# arm, disarm and destroy timers against the one shared timer thread.
 "${repo}/build-tsan/tests/test_service" \
-  --gtest_filter='Coalescing.*:Executor.HandleGroup*:Executor.Batched*:Server.CoalescingSoak*'
+  --gtest_filter='Coalescing.*:Executor.HandleGroup*:Executor.Batched*:Server.CoalescingSoak*:DeadlineTimer.*'
 
 echo "=== bench gate: relay chain must hold the post-PR2 numbers ==="
 # Pure-data regression gate over the recorded trajectory: the substrate
@@ -329,9 +332,10 @@ echo "=== bench smoke: scheme compile + program and plan verifiers ==="
 # plan, and the loading-cover check walks the iteration domain once.
 # BM_VerifyProgramMatmul2, BM_VerifyPlan and BM_LoadingCover double as
 # correctness assertions: they skip with an error if their design stops
-# verifying clean.
+# verifying clean, and BM_WalkVsReplay if a replay's outputs differ from
+# the walk it was recorded from.
 bench_smoke bench_compile \
-  'BM_CompileMatmul2|BM_VerifyProgramMatmul2|BM_VerifyPlan|BM_LoadingCover|BM_LowerAndWalk'
+  'BM_CompileMatmul2|BM_VerifyProgramMatmul2|BM_VerifyPlan|BM_LoadingCover|BM_LowerAndWalk|BM_WalkVsReplay'
 
 echo "=== bench gate: analysis must hold the PR8 numbers ==="
 # Recorded-baseline gate: the PR8 run is the floor; "latest" resolves to

@@ -489,7 +489,7 @@ int cmd_run(const Design& design, const Options& opt) {
   const std::optional<Backend> backend = service::backend_named(opt.backend);
   if (!backend.has_value()) {
     std::cerr << "unknown backend '" << opt.backend
-              << "' (expected interp or bytecode)\n";
+              << "' (expected auto, interp or bytecode)\n";
     return 2;
   }
   iopt.backend = *backend;
