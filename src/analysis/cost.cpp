@@ -165,6 +165,13 @@ CostFormulas derive_cost_formulas(const CompiledProgram& program,
 CostMetrics cost_metrics_of(const CompiledProgram& program,
                             const LoopNest& nest, const Env& sizes,
                             const NetworkPlan& plan) {
+  return cost_metrics_of(program, nest, sizes, plan, *lower_plan(plan));
+}
+
+CostMetrics cost_metrics_of(const CompiledProgram& program,
+                            const LoopNest& nest, const Env& sizes,
+                            const NetworkPlan& plan,
+                            const BytecodeProgram& bytecode) {
   CostMetrics m;
   m.processes = static_cast<Int>(plan.procs.size());
   m.comp = static_cast<Int>(plan.comp_count);
@@ -198,9 +205,8 @@ CostMetrics cost_metrics_of(const CompiledProgram& program,
     m.longest_chain = std::max(m.longest_chain, chain_length_at(s, nest, sizes));
   }
 
-  const std::unique_ptr<BytecodeProgram> bytecode = lower_plan(plan);
-  m.bytecode_instructions = static_cast<Int>(bytecode->instruction_count());
-  m.bytecode_bytes = static_cast<Int>(bytecode->memory_bytes());
+  m.bytecode_instructions = static_cast<Int>(bytecode.instruction_count());
+  m.bytecode_bytes = static_cast<Int>(bytecode.memory_bytes());
   return m;
 }
 

@@ -103,12 +103,20 @@ struct CostReport {
 [[nodiscard]] CostFormulas derive_cost_formulas(const CompiledProgram& program,
                                                 const LoopNest& nest);
 
-/// Concrete metrics off an already-interned plan (the enumerator verifies
-/// and scores each candidate from one plan build).
+/// Concrete metrics off an already-interned plan, lowering it to count
+/// its bytecode.
 [[nodiscard]] CostMetrics cost_metrics_of(const CompiledProgram& program,
                                           const LoopNest& nest,
                                           const Env& sizes,
                                           const NetworkPlan& plan);
+/// The same over `bytecode`, the caller's lower_plan(plan): the enumerator
+/// verifies and scores each candidate from one plan build and one
+/// lowering.
+[[nodiscard]] CostMetrics cost_metrics_of(const CompiledProgram& program,
+                                          const LoopNest& nest,
+                                          const Env& sizes,
+                                          const NetworkPlan& plan,
+                                          const BytecodeProgram& bytecode);
 
 /// Concrete metrics at one size, interning the plan through `cache` when
 /// one is given (the service path) or building it directly otherwise.

@@ -62,6 +62,12 @@ void verify_program_into(VerifyReport& report, const CompiledProgram& program,
 /// deadlock freedom of the communication structure.
 [[nodiscard]] VerifyReport verify_plan(const NetworkPlan& plan);
 void verify_plan_into(VerifyReport& report, const NetworkPlan& plan);
+/// The same checks over `prog`, the caller's lower_plan(plan), for a
+/// caller that measures the lowered program too and lowers once. The
+/// plan's channel references must be in range, as every expanded plan's
+/// are; a hand-built plan goes through the overloads above.
+[[nodiscard]] VerifyReport verify_plan(const NetworkPlan& plan,
+                                       const BytecodeProgram& prog);
 
 /// Concrete-size check that every stationary stream's declared element
 /// box is exactly the index-map image of the iteration domain. The

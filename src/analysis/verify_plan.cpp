@@ -92,7 +92,7 @@ std::string proc_list(const NetworkPlan& plan, std::size_t c, bool sending) {
     });
     if (!wired) continue;
     if (!out.empty()) out += ", ";
-    out += plan.procs[pi].name;
+    out += proc_name(plan, pi);
   }
   return out;
 }
@@ -359,8 +359,8 @@ void check_deadlock(VerifyReport& report, const NetworkPlan& plan,
     const ProcState& st = ps[pi];
     if (st.finished) continue;
     auto blocked_op = [&](std::int32_t c, bool is_send) {
-      dl.blocked.push_back(BlockedOpState{plan.procs[pi].name,
-                                          plan.channels[c].name,
+      dl.blocked.push_back(BlockedOpState{proc_name(plan, pi),
+                                          channel_name(plan, c),
                                           is_send ? "send" : "recv",
                                           st.groups_done, 0});
       const ChanState& ch = run.chans()[c];
@@ -412,11 +412,10 @@ void check_deadlock(VerifyReport& report, const NetworkPlan& plan,
               path.begin(), path.end(),
               [&](const PathEntry& pe) { return pe.proc == to; });
           for (auto pe = start; pe != path.end(); ++pe) {
-            dl.cycle.push_back(plan.procs[pe->proc].name);
+            dl.cycle.push_back(proc_name(plan, pe->proc));
             auto next = pe + 1;
-            dl.cycle_channels.push_back(
-                plan.channels[next == path.end() ? via : next->via_in]
-                    .name);
+            dl.cycle_channels.push_back(channel_name(
+                plan, next == path.end() ? via : next->via_in));
           }
           found = true;
           return;
@@ -443,21 +442,19 @@ void check_deadlock(VerifyReport& report, const NetworkPlan& plan,
              dl.to_json());
 }
 
-}  // namespace
-
-void verify_plan_into(VerifyReport& report, const NetworkPlan& plan) {
+/// Referential integrity: everything after it, lowering included,
+/// indexes blindly. False when a process references a channel or role
+/// out of range.
+bool check_refs(VerifyReport& report, const NetworkPlan& plan) {
   const std::size_t nchans = plan.channels.size();
   const auto chan_ok = [&](std::int32_t c) {
     return c >= 0 && static_cast<std::size_t>(c) < nchans;
   };
-
-  // Referential integrity first — everything later, lowering included,
-  // indexes blindly.
   bool refs_ok = true;
   for (std::uint32_t pi = 0; pi < plan.procs.size(); ++pi) {
     const NetworkPlan::ProcSpec& spec = plan.procs[pi];
     auto bad = [&](const std::string& what) {
-      report.add("channel.bad-ref", Severity::Error, spec.name,
+      report.add("channel.bad-ref", Severity::Error, proc_name(plan, pi),
                  "process references " + what + " out of range");
       refs_ok = false;
     };
@@ -473,78 +470,94 @@ void verify_plan_into(VerifyReport& report, const NetworkPlan& plan) {
           (is_send ? "output channel" : "input channel"));
     });
   }
-  if (!refs_ok) return;
+  return refs_ok;
+}
 
+/// Channel discipline, then static deadlock freedom, of a referentially
+/// sound plan whose lowered program is `prog`.
+void check_channels(VerifyReport& report, const NetworkPlan& plan,
+                    const BytecodeProgram& prog) {
   // Gather per-channel usage: structural endpoints from the wiring (a
   // pass of count 0 lowers to no instruction but is still an endpoint),
   // op counts from the lowered program.
+  const std::size_t nchans = plan.channels.size();
   std::vector<ChannelUse> use(nchans);
   for (std::uint32_t pi = 0; pi < plan.procs.size(); ++pi) {
     for_each_end(plan, pi, [&](std::int32_t c, bool is_send) {
       (is_send ? use[c].writers : use[c].readers).note(pi);
     });
   }
-  const std::unique_ptr<BytecodeProgram> prog = lower_plan(plan);
-  tally_ops(*prog, use);
+  tally_ops(prog, use);
 
   bool channels_ok = true;
   for (std::size_t c = 0; c < nchans; ++c) {
     const NetworkPlan::ChannelSpec& spec = plan.channels[c];
     const ChannelUse& u = use[c];
-    if (u.writers.procs == 0 || u.readers.procs == 0) {
-      report.add("channel.dangling", Severity::Error, spec.name,
-                 u.writers.procs == 0
-                     ? "no process is wired to this channel's sending end"
-                     : "no process is wired to this channel's receiving end");
+    auto add = [&](const char* rule, const std::string& message) {
+      report.add(rule, Severity::Error, channel_name(plan, c), message);
       channels_ok = false;
+    };
+    if (u.writers.procs == 0 || u.readers.procs == 0) {
+      add("channel.dangling",
+          u.writers.procs == 0
+              ? "no process is wired to this channel's sending end"
+              : "no process is wired to this channel's receiving end");
       continue;
     }
     if (u.writers.procs > 1) {
-      report.add("channel.multi-writer", Severity::Error, spec.name,
-                 "single-writer discipline violated: sends from " +
-                     proc_list(plan, c, true));
-      channels_ok = false;
+      add("channel.multi-writer",
+          "single-writer discipline violated: sends from " +
+              proc_list(plan, c, true));
     }
     if (u.readers.procs > 1) {
-      report.add("channel.multi-reader", Severity::Error, spec.name,
-                 "single-reader discipline violated: receives from " +
-                     proc_list(plan, c, false));
-      channels_ok = false;
+      add("channel.multi-reader",
+          "single-reader discipline violated: receives from " +
+              proc_list(plan, c, false));
     }
     if (u.writers.procs == 1 &&
         static_cast<std::int32_t>(u.writers.first) != spec.sender) {
-      report.add("channel.endpoint-mismatch", Severity::Error, spec.name,
-                 "recorded sender does not match the process that "
-                 "actually sends (" +
-                     plan.procs[u.writers.first].name + ")");
-      channels_ok = false;
+      add("channel.endpoint-mismatch",
+          "recorded sender does not match the process that actually "
+          "sends (" +
+              proc_name(plan, u.writers.first) + ")");
     }
     if (u.readers.procs == 1 &&
         static_cast<std::int32_t>(u.readers.first) != spec.receiver) {
-      report.add("channel.endpoint-mismatch", Severity::Error, spec.name,
-                 "recorded receiver does not match the process that "
-                 "actually receives (" +
-                     plan.procs[u.readers.first].name + ")");
-      channels_ok = false;
+      add("channel.endpoint-mismatch",
+          "recorded receiver does not match the process that actually "
+          "receives (" +
+              proc_name(plan, u.readers.first) + ")");
     }
     if (u.sends != u.recvs) {
-      report.add("channel.count-mismatch", Severity::Error, spec.name,
-                 "conservation violated: " + std::to_string(u.sends) +
-                     " send(s) vs " + std::to_string(u.recvs) +
-                     " recv(s) over the whole run — the network cannot "
-                     "terminate cleanly");
-      channels_ok = false;
+      add("channel.count-mismatch",
+          "conservation violated: " + std::to_string(u.sends) +
+              " send(s) vs " + std::to_string(u.recvs) +
+              " recv(s) over the whole run — the network cannot "
+              "terminate cleanly");
     }
   }
 
   // Deadlock analysis only makes sense on a structurally sound network;
   // a count mismatch already implies a stuck process.
-  if (channels_ok) check_deadlock(report, plan, *prog);
+  if (channels_ok) check_deadlock(report, plan, prog);
+}
+
+}  // namespace
+
+void verify_plan_into(VerifyReport& report, const NetworkPlan& plan) {
+  if (check_refs(report, plan)) check_channels(report, plan, *lower_plan(plan));
 }
 
 VerifyReport verify_plan(const NetworkPlan& plan) {
   VerifyReport report;
   verify_plan_into(report, plan);
+  return report;
+}
+
+VerifyReport verify_plan(const NetworkPlan& plan,
+                         const BytecodeProgram& prog) {
+  VerifyReport report;
+  if (check_refs(report, plan)) check_channels(report, plan, prog);
   return report;
 }
 

@@ -302,7 +302,7 @@ Task process_body(Ctx ctx, const InterpRun* run, std::uint32_t pi) {
         ctx.tick_statement();
         if (run->trace != nullptr) {
           run->trace->statements.push_back(StatementEvent{
-              plan.procs[pi].place, loop_iter, ctx.process().time()});
+              proc_place(plan, pi), loop_iter, ctx.process().time()});
         }
         x += plan.increment;
         break;
@@ -353,8 +353,9 @@ void run_on_interp(const BytecodeProgram& prog, const NetworkPlan& plan,
   std::vector<Clock> clocks(plan.clock_count);
   std::vector<Channel*> chans;
   chans.reserve(plan.channels.size());
-  for (const NetworkPlan::ChannelSpec& spec : plan.channels) {
-    chans.push_back(&sched.make_channel(spec.name, spec.capacity));
+  for (std::size_t c = 0; c < plan.channels.size(); ++c) {
+    chans.push_back(
+        &sched.make_channel(channel_name(plan, c), plan.channels[c].capacity));
   }
   std::vector<Value> regs(prog.num_regs, 0);
   const InterpRun run{&prog,       &plan,  chans.data(), in_values.data(),
@@ -365,7 +366,7 @@ void run_on_interp(const BytecodeProgram& prog, const NetworkPlan& plan,
     const NetworkPlan::ProcSpec& spec = plan.procs[pi];
     Clock* clock = spec.clock >= 0 ? &clocks[spec.clock] : nullptr;
     procs.push_back(&sched.spawn(
-        spec.name,
+        proc_name(plan, pi),
         [&run, pi](Ctx ctx) { return process_body(ctx, &run, pi); }, clock));
   }
   // Declare both endpoints of every channel so deadlock forensics can

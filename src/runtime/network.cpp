@@ -21,18 +21,19 @@ NetworkGraph network_graph(const NetworkPlan& plan) {
                             Kind::Computation};
   NetworkGraph graph;
   std::vector<char> seen(plan.procs.size(), 0);
-  for (const NetworkPlan::ChannelSpec& c : plan.channels) {
+  for (std::size_t ci = 0; ci < plan.channels.size(); ++ci) {
+    const NetworkPlan::ChannelSpec& c = plan.channels[ci];
     if (c.sender < 0 || c.receiver < 0) continue;
     const auto from = static_cast<std::size_t>(c.sender);
     const auto to = static_cast<std::size_t>(c.receiver);
     for (const std::size_t id : {from, to}) {
       if (seen[id] != 0) continue;
       seen[id] = 1;
-      const NetworkPlan::ProcSpec& p = plan.procs[id];
-      graph.nodes.push_back({p.name, kKind[static_cast<int>(p.kind)]});
+      graph.nodes.push_back(
+          {proc_name(plan, id), kKind[static_cast<int>(plan.procs[id].kind)]});
     }
-    graph.edges.push_back({plan.procs[from].name, plan.procs[to].name,
-                           c.name, plan.streams[c.stream]});
+    graph.edges.push_back({proc_name(plan, from), proc_name(plan, to),
+                           channel_name(plan, ci), plan.streams[c.stream]});
   }
   return graph;
 }

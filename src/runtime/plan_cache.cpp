@@ -1,5 +1,7 @@
 #include "runtime/plan_cache.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <sstream>
 
@@ -25,16 +27,80 @@ std::size_t NetworkPlan::memory_bytes() const {
   n += streams.capacity() * sizeof(std::string);
   for (const std::string& s : streams) n += bytes_of(s);
   n += channels.capacity() * sizeof(ChannelSpec);
-  for (const ChannelSpec& c : channels) n += bytes_of(c.name);
   n += procs.capacity() * sizeof(ProcSpec);
-  for (const ProcSpec& p : procs) {
-    n += bytes_of(p.name) + bytes_of(p.first_x) + bytes_of(p.place);
-  }
+  for (const ProcSpec& p : procs) n += bytes_of(p.first_x);
   n += roles.capacity() * sizeof(RoleSpec);
   n += elems.capacity() * sizeof(IntVec);
   for (const IntVec& e : elems) n += bytes_of(e);
   n += bytes_of(increment) + bytes_of(ps_min) + bytes_of(ps_max);
   return n;
+}
+
+// ------------------------------------------------------ names and places
+
+namespace {
+
+Int box_extent(const NetworkPlan& plan, std::size_t i) {
+  return std::max<Int>(1, plan.ps_max[i] - plan.ps_min[i] + 1);
+}
+
+/// Component i of the PS point whose row-major box index is `point`.
+Int box_coord(const NetworkPlan& plan, Int point, std::size_t i) {
+  for (std::size_t j = plan.ps_min.dim(); --j > i;) {
+    point /= box_extent(plan, j);
+  }
+  return plan.ps_min[i] + point % box_extent(plan, i);
+}
+
+void append(std::string& s, Int v) {
+  char buf[24];
+  s.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
+IntVec proc_place(const NetworkPlan& plan, std::size_t id) {
+  IntVec y(plan.ps_min.dim());
+  for (std::size_t i = 0; i < y.dim(); ++i) {
+    y[i] = box_coord(plan, plan.procs[id].point, i);
+  }
+  return y;
+}
+
+std::string proc_name(const NetworkPlan& plan, std::size_t id) {
+  using Kind = NetworkPlan::ProcKind;
+  const NetworkPlan::ProcSpec& p = plan.procs[id];
+  std::string s = p.kind == Kind::Comp     ? "comp:"
+                  : p.kind == Kind::Input  ? "in:"
+                  : p.kind == Kind::Output ? "out:"
+                  : p.buffer >= 0          ? "buf:"
+                                           : "xbuf:";
+  if (p.kind != Kind::Comp) {
+    s += plan.streams[p.stream];
+    s += ':';
+  }
+  // The place prints as IntVec::to_string() prints it: "(y0,y1,...)".
+  s += '(';
+  for (std::size_t i = 0; i < plan.ps_min.dim(); ++i) {
+    if (i > 0) s += ',';
+    append(s, box_coord(plan, p.point, i));
+  }
+  s += ')';
+  if (p.kind == Kind::Pass && p.buffer >= 0) {
+    s += '#';
+    append(s, p.buffer);
+  }
+  return s;
+}
+
+std::string channel_name(const NetworkPlan& plan, std::size_t id) {
+  const NetworkPlan::ChannelSpec& c = plan.channels[id];
+  std::string s = plan.streams[c.stream];
+  s += '[';
+  append(s, c.pipe);
+  s += "].";
+  append(s, c.link);
+  return s;
 }
 
 // ------------------------------------------------------------ PlanCache

@@ -7,11 +7,15 @@
 // vectors over dense IDs:
 //   * process index — spawn order (the scheduler's FIFO behaviour and the
 //     fault-roll order follow it),
-//   * channel index — creation order, with the owning stream as an
-//     integer (no parsing of "<stream>[pipe].link" display names),
+//   * channel index — creation order, with the owning stream, pipe and
+//     link as integers,
 //   * flat stream-element offsets — each pipe's element identities are a
 //     contiguous [elem_begin, elem_end) slice of one `elems` vector, and
 //     the run-time values travel in parallel flat Value arrays.
+// A plan stores no names: a process is identified by its point of the
+// process space (Sects. 6-7) and a channel by its stream, pipe and link,
+// and proc_name() / channel_name() render the display names from those
+// integers when a diagnostic, a trace or the interpreter asks for one.
 // Plans are built in two stages (runtime/plan_template.hpp): the symbolic
 // derivation is compiled once per (program, shape) into a PlanTemplate,
 // and each plan is expanded from it with integer arithmetic. build_plan()
@@ -53,8 +57,9 @@ struct NetworkPlan {
   enum class ProcKind : std::uint8_t { Input, Output, Pass, Comp };
 
   struct ChannelSpec {
-    std::string name;         ///< display name (diagnostics only)
     std::uint32_t stream = 0; ///< index into `streams`
+    std::uint32_t pipe = 0;   ///< the stream's pipe, in anchor order
+    std::uint32_t link = 0;   ///< hop along the pipe, 0 = out of its input
     Int capacity = 0;
     std::int32_t sender = -1;   ///< producing process id (-1 = none)
     std::int32_t receiver = -1; ///< consuming process id (-1 = none)
@@ -71,12 +76,17 @@ struct NetworkPlan {
   };
 
   struct ProcSpec {
-    std::string name;
     ProcKind kind = ProcKind::Pass;
     std::int32_t clock = -1;    ///< shared-clock id, -1 = own clock
     std::uint32_t stream = 0;   ///< Input/Output/Pass: the stream carried
     std::int32_t chan_in = -1;  ///< Output/Pass: channel consumed
     std::int32_t chan_out = -1; ///< Input/Pass: channel produced
+    /// The PS point the process sits at (Comp: its identity), as a
+    /// row-major index into the box [ps_min, ps_max]; see proc_place().
+    std::uint32_t point = 0;
+    /// Pass: which of the q-1 internal buffers in front of `point` this
+    /// is, or -1 for an external buffer (a box point outside the CS).
+    std::int32_t buffer = -1;
     Int count = 0;              ///< elements through (Pass/Input/Output) or
                                 ///< repeater iterations (Comp)
     /// Input/Output: the pipe's element identities as a slice of `elems`
@@ -86,7 +96,6 @@ struct NetworkPlan {
     /// Comp: this process's stream roles as a slice of `roles`.
     std::size_t role_begin = 0, role_end = 0;
     IntVec first_x;  ///< Comp: first statement of the chord
-    IntVec place;    ///< PS point the process sits at (Comp: its identity)
   };
 
   std::vector<std::string> streams;   ///< stream names, by stream id
@@ -100,12 +109,25 @@ struct NetworkPlan {
   std::size_t comp_count = 0;
   std::size_t io_count = 0;
   std::size_t buffer_count = 0;
-  IntVec ps_min, ps_max;          ///< PS box (partition blocks)
+  IntVec ps_min, ps_max;  ///< PS box (process places, partition blocks)
 
   /// Approximate deep heap footprint (vectors and strings) — the byte
   /// currency of PlanCache's LRU accounting.
   [[nodiscard]] std::size_t memory_bytes() const;
 };
+
+/// The PS point process `id` sits at: ps_min plus the row-major
+/// unravelling of its `point` over the box extents.
+[[nodiscard]] IntVec proc_place(const NetworkPlan& plan, std::size_t id);
+
+/// Display name of process `id`, rendered from its kind, stream and place
+/// y: "comp:(y)", "in:s:(y)", "out:s:(y)", "buf:s:(y)#b" (internal buffer
+/// b in front of y) or "xbuf:s:(y)" (external buffer at y).
+[[nodiscard]] std::string proc_name(const NetworkPlan& plan, std::size_t id);
+
+/// Display name of channel `id`: "s[pipe].link".
+[[nodiscard]] std::string channel_name(const NetworkPlan& plan,
+                                       std::size_t id);
 
 /// Lower `program` at `sizes` into a NetworkPlan: compile_template() and
 /// then expand_template() (runtime/plan_template.hpp), for a caller that

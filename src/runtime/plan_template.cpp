@@ -1,7 +1,7 @@
 #include "runtime/plan_template.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -187,9 +187,7 @@ std::size_t PlanTemplate::memory_bytes() const {
   n += point_bytes(first) + expr_bytes(count);
   n += streams.capacity() * sizeof(StreamTemplate);
   for (const StreamTemplate& s : streams) {
-    n += string_bytes(s.name) + string_bytes(s.pipe_prefix) +
-         string_bytes(s.in_prefix) + string_bytes(s.out_prefix) +
-         string_bytes(s.buf_prefix) + string_bytes(s.xbuf_prefix);
+    n += string_bytes(s.name);
     n += point_bytes(s.first_s) + expr_bytes(s.count_s) +
          expr_bytes(s.soak) + expr_bytes(s.drain);
   }
@@ -237,11 +235,6 @@ std::shared_ptr<const PlanTemplate> compile_template(
     st.count_s = lo.lower_expr(splan.io.count_s);
     st.soak = lo.lower_expr(splan.soak);
     st.drain = lo.lower_expr(splan.drain);
-    st.pipe_prefix = splan.name + "[";
-    st.in_prefix = "in:" + splan.name + ":";
-    st.out_prefix = "out:" + splan.name + ":";
-    st.buf_prefix = "buf:" + splan.name + ":";
-    st.xbuf_prefix = "xbuf:" + splan.name + ":";
     tmpl->streams.push_back(std::move(st));
   }
 
@@ -306,7 +299,9 @@ Int eval_named(const PlanTemplate& tmpl, const LinForm& form,
 
 // Every value is an integer dot product against the template's coefficient
 // tables, and per-point bookkeeping lives in flat arrays indexed with the
-// PS box's row-major strides.
+// PS box's row-major strides. Every stream's pipes are grouped before the
+// first process is added, so each of the plan's tables is reserved once,
+// at its final size.
 std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
                                              const Env& sizes) {
   auto plan_ptr = std::make_unique<NetworkPlan>();
@@ -332,11 +327,12 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     vars[ncoords + i] = it->second.num();
   }
   const Int* v = vars.data();
-  auto bind_coords = [&vars, ncoords](const IntVec& y) {
-    for (std::size_t i = 0; i < ncoords; ++i) vars[i] = y[i];
-  };
 
   const std::size_t psdim = tmpl.ps_min.size();
+  if (ncoords > psdim) {
+    raise(ErrorKind::Internal, "plan template has more process coordinates "
+                               "than process-space dimensions");
+  }
   IntVec ps_min(psdim);
   IntVec ps_max(psdim);
   for (std::size_t i = 0; i < psdim; ++i) {
@@ -352,67 +348,184 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
 
   const PlanShape& shape = tmpl.shape;
 
-  // Partitioning: map a process-space point to a dense shared-clock id
-  // (-1 when unpartitioned: every process gets its own clock). Ids are
-  // assigned in first-use order, which follows the spawn order below.
-  std::map<IntVec, std::int32_t, IntVecLess> clock_ids;
-  auto clock_for = [&](const IntVec& y) -> std::int32_t {
+  // The PS box as flat rows, enumerated last dimension fastest: point k
+  // is pts[k*psdim ..], and a process stores k as its `point`.
+  std::vector<Int> extent(psdim);
+  std::vector<Int> stride(psdim, 1);
+  Int box_points = 1;
+  for (std::size_t i = psdim; i-- > 0;) {
+    extent[i] =
+        std::max<Int>(1, checked_add(checked_sub(ps_max[i], ps_min[i]), 1));
+    stride[i] = box_points;
+    box_points = checked_mul(box_points, extent[i]);
+  }
+  if (box_points > std::numeric_limits<std::int32_t>::max()) {
+    raise(ErrorKind::Overflow, "plan template: the process-space box has " +
+                                   std::to_string(box_points) +
+                                   " points, more than a plan can index");
+  }
+  const auto npoints = static_cast<std::size_t>(box_points);
+  std::vector<Int> pts(npoints * psdim);
+  if (psdim > 0) {
+    std::copy_n(ps_min.comps().begin(), psdim, pts.begin());
+    for (std::size_t k = 1; k < npoints; ++k) {
+      Int* y = pts.data() + k * psdim;
+      std::copy_n(y - psdim, psdim, y);
+      for (std::size_t i = psdim; i-- > 0;) {
+        if (++y[i] <= ps_max[i]) break;
+        y[i] = ps_min[i];
+      }
+    }
+  }
+  auto point_at = [&pts, psdim](std::size_t k) {
+    return pts.data() + k * psdim;
+  };
+  auto bind_coords = [&](std::size_t k) {
+    std::copy_n(point_at(k), ncoords, vars.begin());
+  };
+  auto point_vec = [&](std::size_t k) {
+    return IntVec(std::vector<Int>(point_at(k), point_at(k) + psdim));
+  };
+
+  // Partitioning: map a box point to a dense shared-clock id (-1 when
+  // unpartitioned: every process gets its own clock). Ids are assigned in
+  // first-use order, which follows the spawn order below.
+  std::vector<std::int32_t> clock_of_block;
+  std::size_t clock_count = 0;
+  auto clock_for = [&](std::size_t k) -> std::int32_t {
     if (shape.partition_grid.dim() == 0) return -1;
-    if (shape.partition_grid.dim() != y.dim()) {
+    if (shape.partition_grid.dim() != psdim) {
       raise(ErrorKind::Validation,
             "partition grid must have one entry per process-space "
             "dimension");
     }
-    IntVec block(y.dim());
-    for (std::size_t i = 0; i < y.dim(); ++i) {
-      Int extent = ps_max[i] - ps_min[i] + 1;
-      Int g =
-          std::max<Int>(1, std::min<Int>(shape.partition_grid[i], extent));
-      block[i] = (y[i] - ps_min[i]) * g / extent;
+    const Int* y = point_at(k);
+    std::size_t block = 0;
+    std::size_t blocks = 1;
+    for (std::size_t i = 0; i < psdim; ++i) {
+      const Int g =
+          std::max<Int>(1, std::min<Int>(shape.partition_grid[i], extent[i]));
+      block = block * static_cast<std::size_t>(g) +
+              static_cast<std::size_t>((y[i] - ps_min[i]) * g / extent[i]);
+      blocks *= static_cast<std::size_t>(g);
     }
-    auto [it, inserted] = clock_ids.emplace(
-        block, static_cast<std::int32_t>(clock_ids.size()));
-    (void)inserted;
-    return it->second;
+    if (clock_of_block.empty()) clock_of_block.assign(blocks, -1);
+    std::int32_t& id = clock_of_block[block];
+    if (id < 0) id = static_cast<std::int32_t>(clock_count++);
+    return id;
   };
 
-  // Enumerate the PS box (last dimension fastest) and precompute row-major
-  // strides so per-point state lives in flat arrays.
-  std::vector<IntVec> box;
-  {
-    IntVec y = ps_min;
-    for (;;) {
-      box.push_back(y);
-      std::size_t i = y.dim();
-      bool done = true;
-      while (i > 0) {
-        --i;
-        if (++y[i] <= ps_max[i]) {
-          done = false;
-          break;
-        }
-        y[i] = ps_min[i];
-        if (i == 0) break;
-      }
-      if (done) break;
-    }
-  }
-  std::vector<Int> stride(psdim, 1);
-  for (std::size_t i = psdim; i-- > 1;) {
-    stride[i - 1] =
-        checked_mul(stride[i], std::max<Int>(1, ps_max[i] - ps_min[i] + 1));
+  // CS membership per box point: the repeater's `first` cover.
+  std::vector<char> in_cs(npoints, 0);
+  std::size_t comp_count = 0;
+  for (std::size_t k = 0; k < npoints; ++k) {
+    bind_coords(k);
+    in_cs[k] = tmpl.first.covers(v) ? 1 : 0;
+    comp_count += static_cast<std::size_t>(in_cs[k]);
   }
 
-  // CS membership per box point: the repeater's `first` cover. Also cache
-  // each point's rendering — every process name embeds it, several times
-  // across streams and roles.
-  std::vector<char> in_cs(box.size(), 0);
-  std::vector<std::string> point_str(box.size());
-  for (std::size_t k = 0; k < box.size(); ++k) {
-    bind_coords(box[k]);
-    in_cs[k] = tmpl.first.covers(v) ? 1 : 0;
-    point_str[k] = box[k].to_string();
+  // The elements a pipe carries: count_s at its anchor, 0 where no clause
+  // holds.
+  auto pipe_count = [&](const PlanTemplate::StreamTemplate& st,
+                        std::size_t anchor) -> Int {
+    bind_coords(anchor);
+    const LinForm* form = st.count_s.select(v);
+    if (form == nullptr) return 0;
+    return eval_named(tmpl, *form, v, true, [&st] {
+      return "count_s of stream '" + st.name + "'";
+    });
+  };
+
+  // Group box points into pipes by their upstream anchor, the most
+  // upstream box point on the line through y along the stream's direction.
+  // Pipes are numbered by ascending anchor, and a pipe's points run
+  // downstream by ascending dot(dir), which is box-index order up to the
+  // sign of the per-step index delta. The anchor is y - steps*dir with
+  // steps = min over dims of the distance to the upstream box face (the PS
+  // box is a rectangle, so every intermediate point is inside).
+  struct Pipe {
+    std::uint32_t anchor = 0;
+    std::uint32_t begin = 0, end = 0;  ///< its points: order[begin, end)
+    Int count = 0;                     ///< elements it carries
+    bool counted = false;              ///< false: count_s failed to evaluate
+  };
+  const std::size_t nstreams = tmpl.streams.size();
+  std::vector<std::uint32_t> order(nstreams * npoints);
+  std::vector<Pipe> pipes;
+  std::vector<std::size_t> first_pipe(nstreams + 1, 0);
+  std::size_t nchannels = 0;
+  std::size_t nprocs = comp_count;
+  Int nelems = 0;
+  {
+    std::vector<std::uint32_t> anchor(npoints);
+    std::vector<std::uint32_t> fill(npoints + 1);
+    for (std::size_t s = 0; s < nstreams; ++s) {
+      const PlanTemplate::StreamTemplate& st = tmpl.streams[s];
+      const IntVec& dir = st.direction;
+      Int delta = 0;
+      for (std::size_t i = 0; i < psdim; ++i) delta += dir[i] * stride[i];
+      std::fill(fill.begin(), fill.end(), 0);
+      for (std::size_t k = 0; k < npoints; ++k) {
+        const Int* y = point_at(k);
+        Int steps = -1;
+        for (std::size_t i = 0; i < psdim; ++i) {
+          const Int d = dir[i];
+          if (d == 0) continue;
+          const Int t =
+              d > 0 ? (y[i] - ps_min[i]) / d : (ps_max[i] - y[i]) / -d;
+          steps = steps < 0 ? t : std::min(steps, t);
+        }
+        anchor[k] = static_cast<std::uint32_t>(
+            steps <= 0 ? static_cast<Int>(k)
+                       : static_cast<Int>(k) - steps * delta);
+        ++fill[anchor[k] + 1];
+      }
+      // Counting sort by anchor: a pipe's points keep ascending box order.
+      for (std::size_t a = 0; a < npoints; ++a) fill[a + 1] += fill[a];
+      std::uint32_t* out = order.data() + s * npoints;
+      for (std::size_t k = 0; k < npoints; ++k) {
+        out[fill[anchor[k]]++] = static_cast<std::uint32_t>(k);
+      }
+      // fill[a] is now the end of anchor a's points, fill[a - 1] their
+      // begin.
+      const Int inner = shape.merge_internal_buffers ? 0 : st.denominator - 1;
+      std::uint32_t begin = 0;
+      for (std::size_t a = 0; a < npoints; ++a) {
+        const std::uint32_t end = fill[a];
+        if (end == begin) continue;
+        // Downstream order is the ascending sequence, reversed when a +dir
+        // step moves backwards through the row-major enumeration.
+        if (delta < 0) std::reverse(out + begin, out + end);
+        Pipe pipe{static_cast<std::uint32_t>(a), begin, end, 0, true};
+        try {
+          pipe.count = pipe_count(st, a);
+        } catch (const Error&) {
+          // Raised again where the pipe is built, so a plan that fails
+          // more than once reports the failure the build meets first.
+          pipe.counted = false;
+        }
+        const std::size_t npts = end - begin;
+        std::size_t cs = 0;
+        for (std::uint32_t j = begin; j < end; ++j) cs += in_cs[out[j]];
+        const auto hops = static_cast<std::size_t>(
+            checked_mul(static_cast<Int>(npts), inner + 1));
+        nchannels += 1 + hops;
+        nprocs += hops - cs + 2;
+        if (pipe.count > 0) nelems = checked_add(nelems, pipe.count);
+        pipes.push_back(pipe);
+        begin = end;
+      }
+      first_pipe[s + 1] = pipes.size();
+    }
   }
+  plan.streams.reserve(nstreams);
+  for (const PlanTemplate::StreamTemplate& st : tmpl.streams) {
+    plan.streams.push_back(st.name);
+  }
+  plan.channels.reserve(nchannels);
+  plan.procs.reserve(nprocs);
+  plan.roles.reserve(comp_count * nstreams);
+  plan.elems.reserve(static_cast<std::size_t>(nelems));
 
   // Ports of each computation process, indexed [box point][stream].
   struct Port {
@@ -420,69 +533,23 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     std::int32_t out = -1;
     Int pipe_count = 0;
   };
-  const std::size_t nstreams = tmpl.streams.size();
-  std::vector<Port> ports(box.size() * nstreams);
-
-  auto add_channel = [&](std::string name, std::uint32_t stream,
-                         Int capacity) -> std::int32_t {
-    auto id = static_cast<std::int32_t>(plan.channels.size());
-    plan.channels.push_back(
-        NetworkPlan::ChannelSpec{std::move(name), stream, capacity, -1, -1});
-    return id;
-  };
+  std::vector<Port> ports(npoints * nstreams);
 
   for (std::uint32_t stream_id = 0; stream_id < nstreams; ++stream_id) {
     const PlanTemplate::StreamTemplate& st = tmpl.streams[stream_id];
-    plan.streams.push_back(st.name);
-
-    const IntVec& dir = st.direction;
+    const std::uint32_t* out = order.data() + stream_id * npoints;
     const Int q = st.denominator;
     const Int inner_buffers = shape.merge_internal_buffers ? 0 : q - 1;
     const Int hop_capacity = shape.channel_capacity +
                              (shape.merge_internal_buffers ? q - 1 : 0);
 
-    // Group box points into pipes by their upstream anchor, the most
-    // upstream box point on the line through y along dir. Pipes are
-    // numbered by ascending anchor, which on the row-major box is
-    // ascending box index, and a pipe's points run downstream by ascending
-    // dot(dir), which is box-index order up to the sign of the per-step
-    // index delta. The anchor is y - steps*dir with steps = min over dims
-    // of the distance to the upstream box face (the PS box is a rectangle,
-    // so every intermediate point is inside).
-    Int delta = 0;
-    for (std::size_t i = 0; i < psdim; ++i) delta += dir[i] * stride[i];
-    std::vector<std::vector<std::uint32_t>> pipes_by_anchor(box.size());
-    for (std::size_t k = 0; k < box.size(); ++k) {
-      const IntVec& y = box[k];
-      Int steps = -1;
-      for (std::size_t i = 0; i < psdim; ++i) {
-        const Int d = dir[i];
-        if (d == 0) continue;
-        const Int t = d > 0 ? (y[i] - ps_min[i]) / d : (ps_max[i] - y[i]) / -d;
-        steps = steps < 0 ? t : std::min(steps, t);
-      }
-      const std::size_t ai =
-          steps <= 0 ? k
-                     : static_cast<std::size_t>(static_cast<Int>(k) -
-                                                steps * delta);
-      pipes_by_anchor[ai].push_back(static_cast<std::uint32_t>(k));
-    }
-    std::size_t pipe_idx = 0;
-    for (std::size_t ai = 0; ai < pipes_by_anchor.size(); ++ai) {
-      std::vector<std::uint32_t>& points = pipes_by_anchor[ai];
-      if (points.empty()) continue;
-      // Points arrive in ascending box index; downstream order (ascending
-      // dot(dir)) is the same sequence, reversed when a +dir step moves
-      // backwards through the row-major enumeration.
-      if (delta < 0) std::reverse(points.begin(), points.end());
-      const IntVec& a = box[ai];
-      bind_coords(a);
-      const LinForm* count_form = st.count_s.select(v);
-      Int count = count_form == nullptr
-                      ? 0
-                      : eval_named(tmpl, *count_form, v, true, [&st] {
-                          return "count_s of stream '" + st.name + "'";
-                        });
+    for (std::size_t pi = first_pipe[stream_id]; pi < first_pipe[stream_id + 1];
+         ++pi) {
+      const Pipe& pipe = pipes[pi];
+      const std::uint32_t ai = pipe.anchor;
+      const std::uint32_t tail = out[pipe.end - 1];
+      const Int count = pipe.counted ? pipe.count : pipe_count(st, ai);
+      bind_coords(ai);
 
       // Element identities in pipeline order, as one flat slice shared by
       // the pipe's input and output processes.
@@ -508,106 +575,80 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       const std::size_t elem_end = plan.elems.size();
 
       // Channel chain: IN -> [bufs] -> y0 -> [bufs] -> y1 ... -> OUT.
-      const std::string cname = st.pipe_prefix + std::to_string(pipe_idx) + "]";
-      auto chan_name = [&cname](std::size_t link) {
-        std::string s;
-        s.reserve(cname.size() + 12);
-        s += cname;
-        s += '.';
-        char buf[20];
-        auto* end = std::to_chars(buf, buf + sizeof buf, link).ptr;
-        s.append(buf, end);
-        return s;
+      const auto pipe_no =
+          static_cast<std::uint32_t>(pi - first_pipe[stream_id]);
+      std::uint32_t link = 0;
+      auto add_channel = [&](Int capacity) {
+        auto id = static_cast<std::int32_t>(plan.channels.size());
+        plan.channels.push_back(NetworkPlan::ChannelSpec{
+            stream_id, pipe_no, link++, capacity, -1, -1});
+        return id;
       };
-      std::int32_t prev =
-          add_channel(chan_name(0), stream_id, shape.channel_capacity);
-      const std::int32_t head = prev;
-      std::size_t link = 1;
-      auto add_pass = [&](std::string name, std::int32_t in,
-                          std::int32_t out, const IntVec& y) {
-        auto id = static_cast<std::int32_t>(plan.procs.size());
-        NetworkPlan::ProcSpec spec;
-        spec.name = std::move(name);
-        spec.kind = NetworkPlan::ProcKind::Pass;
-        spec.clock = clock_for(y);
+      auto add_proc = [&](NetworkPlan::ProcKind kind, std::uint32_t k) {
+        NetworkPlan::ProcSpec& spec = plan.procs.emplace_back();
+        spec.kind = kind;
+        spec.clock = clock_for(k);
         spec.stream = stream_id;
-        spec.chan_in = in;
-        spec.chan_out = out;
+        spec.point = k;
         spec.count = count;
-        spec.place = y;
-        plan.procs.push_back(std::move(spec));
+        return static_cast<std::int32_t>(plan.procs.size() - 1);
+      };
+      auto add_pass = [&](std::uint32_t k, std::int32_t buffer,
+                          std::int32_t in, std::int32_t next) {
+        const std::int32_t id = add_proc(NetworkPlan::ProcKind::Pass, k);
+        NetworkPlan::ProcSpec& spec = plan.procs.back();
+        spec.buffer = buffer;
+        spec.chan_in = in;
+        spec.chan_out = next;
         plan.channels[in].receiver = id;
-        plan.channels[out].sender = id;
+        plan.channels[next].sender = id;
         ++plan.buffer_count;
       };
-      for (const std::uint32_t k : points) {
-        const IntVec& y = box[k];
+      std::int32_t prev = add_channel(shape.channel_capacity);
+      const std::int32_t head = prev;
+      for (std::uint32_t j = pipe.begin; j < pipe.end; ++j) {
+        const std::uint32_t k = out[j];
         // Internal buffers in front of every process on the pipe.
         for (Int bi = 0; bi < inner_buffers; ++bi) {
-          std::int32_t next = add_channel(chan_name(link++), stream_id,
-                                          shape.channel_capacity);
-          add_pass(st.buf_prefix + point_str[k] + "#" + std::to_string(bi),
-                   prev, next, y);
+          const std::int32_t next = add_channel(shape.channel_capacity);
+          add_pass(k, static_cast<std::int32_t>(bi), prev, next);
           prev = next;
         }
-        std::int32_t next =
-            add_channel(chan_name(link++), stream_id, hop_capacity);
+        const std::int32_t next = add_channel(hop_capacity);
         if (in_cs[k] != 0) {
           ports[k * nstreams + stream_id] = Port{prev, next, count};
         } else {
           // External buffer process: pass the whole pipeline (Eq. 10).
-          add_pass(st.xbuf_prefix + point_str[k], prev, next, y);
+          add_pass(k, -1, prev, next);
         }
         prev = next;
       }
 
       // Input and output i/o processes for this pipe.
-      {
-        auto id = static_cast<std::int32_t>(plan.procs.size());
-        NetworkPlan::ProcSpec spec;
-        spec.name = st.in_prefix + point_str[ai];
-        spec.kind = NetworkPlan::ProcKind::Input;
-        spec.clock = clock_for(a);
-        spec.stream = stream_id;
-        spec.chan_out = head;
-        spec.count = count;
-        spec.elem_begin = elem_begin;
-        spec.elem_end = elem_end;
-        spec.place = a;
-        plan.procs.push_back(std::move(spec));
-        plan.channels[head].sender = id;
-      }
-      {
-        const IntVec& tail = box[points.back()];
-        auto id = static_cast<std::int32_t>(plan.procs.size());
-        NetworkPlan::ProcSpec spec;
-        spec.name = st.out_prefix + point_str[points.back()];
-        spec.kind = NetworkPlan::ProcKind::Output;
-        spec.clock = clock_for(tail);
-        spec.stream = stream_id;
-        spec.chan_in = prev;
-        spec.count = count;
-        spec.elem_begin = elem_begin;
-        spec.elem_end = elem_end;
-        spec.place = tail;
-        plan.procs.push_back(std::move(spec));
-        plan.channels[prev].receiver = id;
-      }
+      const std::int32_t in_id = add_proc(NetworkPlan::ProcKind::Input, ai);
+      plan.procs.back().chan_out = head;
+      plan.procs.back().elem_begin = elem_begin;
+      plan.procs.back().elem_end = elem_end;
+      plan.channels[head].sender = in_id;
+      const std::int32_t out_id =
+          add_proc(NetworkPlan::ProcKind::Output, tail);
+      plan.procs.back().chan_in = prev;
+      plan.procs.back().elem_begin = elem_begin;
+      plan.procs.back().elem_end = elem_end;
+      plan.channels[prev].receiver = out_id;
       plan.io_count += 2;
-      ++pipe_idx;
     }
   }
 
   // Computation processes.
-  for (std::size_t k = 0; k < box.size(); ++k) {
+  for (std::size_t k = 0; k < npoints; ++k) {
     if (in_cs[k] == 0) continue;
-    const IntVec& y = box[k];
-    bind_coords(y);
+    bind_coords(k);
     auto id = static_cast<std::int32_t>(plan.procs.size());
     NetworkPlan::ProcSpec spec;
-    spec.name = "comp:" + point_str[k];
     spec.kind = NetworkPlan::ProcKind::Comp;
-    spec.clock = clock_for(y);
+    spec.clock = clock_for(k);
+    spec.point = static_cast<std::uint32_t>(k);
     spec.count = eval_named(tmpl, *tmpl.count.select(v), v, true, [] {
       return std::string("count of the repeater");
     });
@@ -619,7 +660,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       });
     }
     spec.first_x = std::move(first_x);
-    spec.place = y;
     spec.role_begin = plan.roles.size();
     for (std::uint32_t stream_id = 0; stream_id < nstreams; ++stream_id) {
       const PlanTemplate::StreamTemplate& st = tmpl.streams[stream_id];
@@ -630,7 +670,7 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       const LinForm* drain = st.drain.select(v);
       if (soak == nullptr || drain == nullptr) {
         raise(ErrorKind::Inconsistent,
-              "computation process " + y.to_string() +
+              "computation process " + point_vec(k).to_string() +
                   " lacks soak/drain for stream '" + st.name + "'");
       }
       role.soak = eval_named(tmpl, *soak, v, true, [&st] {
@@ -649,18 +689,18 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
                                     : role.soak + spec.count + role.drain;
       if (through != port.pipe_count) {
         raise(ErrorKind::Inconsistent,
-              "stream '" + st.name + "' at " + y.to_string() +
+              "stream '" + st.name + "' at " + point_vec(k).to_string() +
                   ": soak+uses+drain = " + std::to_string(through) +
                   " but the pipeline carries " +
                   std::to_string(port.pipe_count) + " elements");
       }
-      plan.roles.push_back(std::move(role));
+      plan.roles.push_back(role);
     }
     spec.role_end = plan.roles.size();
     plan.procs.push_back(std::move(spec));
     ++plan.comp_count;
   }
-  plan.clock_count = clock_ids.size();
+  plan.clock_count = clock_count;
   return plan_ptr;
 }
 

@@ -12,12 +12,12 @@
 //            every symbolic derivation runs once: guards and values become
 //            LinForms (scaled integer coefficient rows over the template
 //            variables), piecewise clauses that are infeasible under the
-//            program's standing assumptions are pruned by Fourier-Motzkin,
-//            and all name prefixes are pre-assembled.
+//            program's standing assumptions are pruned by Fourier-Motzkin.
 //   stage 2  expand_template(tmpl, sizes)            -> NetworkPlan
 //            pure integer arithmetic: bind the size symbols, enumerate the
 //            PS box, evaluate coefficient rows. No symbolic/ calls, no
-//            Rational, no Fourier-Motzkin, no Env copies.
+//            Rational, no Fourier-Motzkin, no Env copies, and no names:
+//            a plan identifies its processes and channels by integers.
 //
 // build_plan() (runtime/plan_cache.hpp) runs both stages for one plan.
 // PlanCache builds its two cache levels on the split: templates are
@@ -88,9 +88,9 @@ struct TemplatePoint {
 
 /// Everything stage 2 needs, with no reference back to the CompiledProgram
 /// or LoopNest: coefficient tables for the PS box faces, the computation
-/// repeater, per-stream i/o layouts and soak/drain counts, plus the
-/// pre-assembled name fragments. Self-contained and immutable after
-/// compile_template(), so one template may serve concurrent expansions.
+/// repeater, per-stream i/o layouts and soak/drain counts. Self-contained
+/// and immutable after compile_template(), so one template may serve
+/// concurrent expansions.
 struct PlanTemplate {
   struct StreamTemplate {
     std::string name;
@@ -102,12 +102,6 @@ struct PlanTemplate {
     TemplateExpr count_s;
     TemplateExpr soak;
     TemplateExpr drain;
-    /// Name fragments: stage 2 appends only coordinates / indices.
-    std::string pipe_prefix;  ///< "<stream>["
-    std::string in_prefix;    ///< "in:<stream>:"
-    std::string out_prefix;   ///< "out:<stream>:"
-    std::string buf_prefix;   ///< "buf:<stream>:"
-    std::string xbuf_prefix;  ///< "xbuf:<stream>:"
   };
 
   std::string program_name;

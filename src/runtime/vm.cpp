@@ -523,19 +523,21 @@ void Vm::raise_vm_stall(const std::string& reason, ErrorKind kind) {
   for (std::size_t c = 0; c < chans_.size(); ++c) {
     const VmChan& ch = chans_[c];
     const NetworkPlan::ChannelSpec& spec = plan_.channels[c];
+    if (!ch.send_valid && !ch.recv_valid) continue;
+    const std::string name = channel_name(plan_, c);
     if (ch.send_valid) {
       const VmProc& p = procs_[ch.send.proc];
-      report.blocked.push_back(BlockedOpState{plan_.procs[ch.send.proc].name,
-                                              spec.name, "send", p.time,
+      report.blocked.push_back(BlockedOpState{proc_name(plan_, ch.send.proc),
+                                              name, "send", p.time,
                                               p.statements});
-      waits.emplace(ch.send.proc, Edge{spec.receiver, spec.name});
+      waits.emplace(ch.send.proc, Edge{spec.receiver, name});
     }
     if (ch.recv_valid) {
       const VmProc& p = procs_[ch.recv.proc];
-      report.blocked.push_back(BlockedOpState{plan_.procs[ch.recv.proc].name,
-                                              spec.name, "recv", p.time,
+      report.blocked.push_back(BlockedOpState{proc_name(plan_, ch.recv.proc),
+                                              name, "recv", p.time,
                                               p.statements});
-      waits.emplace(ch.recv.proc, Edge{spec.sender, spec.name});
+      waits.emplace(ch.recv.proc, Edge{spec.sender, name});
     }
   }
   // Find one cycle in the wait-for graph (each node has out-degree <= 1
@@ -551,7 +553,7 @@ void Vm::raise_vm_stall(const std::string& reason, ErrorKind kind) {
       auto [pos, inserted] = seen.emplace(cur, path.size());
       if (!inserted) {
         for (std::size_t i = pos->second; i < path.size(); ++i) {
-          report.cycle.push_back(plan_.procs[path[i]].name);
+          report.cycle.push_back(proc_name(plan_, path[i]));
           report.cycle_channels.push_back(waits.at(path[i]).channel);
         }
         break;

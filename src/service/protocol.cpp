@@ -41,11 +41,16 @@ std::string Request::to_json() const {
 }
 
 Request parse_request(const std::string& line) {
+  Request req;
+  parse_request_into(line, req);
+  return req;
+}
+
+void parse_request_into(const std::string& line, Request& req) {
   Json doc = Json::parse(line);
   if (!doc.is_object()) {
     raise(ErrorKind::Validation, "request must be a JSON object");
   }
-  Request req;
   req.id = doc.int_or("id", 0);
   req.op = doc.str_or("op", "");
   if (req.op.empty()) {
@@ -93,7 +98,6 @@ Request parse_request(const std::string& line) {
     raise(ErrorKind::Validation,
           "op \"" + req.op + "\" needs a \"design\" or \"source\"");
   }
-  return req;
 }
 
 std::string Response::to_json() const {

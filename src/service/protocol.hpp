@@ -84,6 +84,11 @@ struct Request {
 /// (unknown op, wrong field type); both carry messages suitable for an
 /// error response.
 [[nodiscard]] Request parse_request(const std::string& line);
+/// parse_request() into `req`, which gets the line's "id" and "op" before
+/// any other field is read or validated: when this throws on a JSON
+/// object, `req` still holds the id and op it sent (an unknown op as
+/// sent), so the error reply can name the request it answers.
+void parse_request_into(const std::string& line, Request& req);
 
 struct Response {
   Int id = 0;

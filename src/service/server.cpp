@@ -134,9 +134,11 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
                          const std::string& line) {
   Request req;
   try {
-    req = parse_request(line);
+    parse_request_into(line, req);
   } catch (const Error& e) {
     Response r;
+    r.id = req.id;
+    r.op = req.op;
     r.status = "error";
     r.kind = error_kind_name(e.kind());
     r.retryable = e.retryable();

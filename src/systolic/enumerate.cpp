@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "analysis/verify.hpp"
+#include "runtime/bytecode.hpp"
 #include "scheme/compiler.hpp"
 
 namespace systolize {
@@ -378,14 +379,17 @@ ExploreResult enumerate_designs(const LoopNest& nest, const ArraySpec* seed,
       bool plan_ok = true;
       try {
         for (const Env& env : options.sizes) {
+          // An expanded plan's references are in range, so it lowers
+          // before it is verified, once for the verifier and the cost.
           const auto plan = build_plan(*prog, nest, env, PlanShape{});
-          if (!verify_plan(*plan).clean()) {
+          const auto bytecode = lower_plan(*plan);
+          if (!verify_plan(*plan, *bytecode).clean()) {
             plan_ok = false;
             break;
           }
           CostReport::AtSize row;
           for (const auto& [name, value] : env) row.sizes[name] = value.floor();
-          row.metrics = cost_metrics_of(*prog, nest, env, *plan);
+          row.metrics = cost_metrics_of(*prog, nest, env, *plan, *bytecode);
           ranked.key = row.metrics;
           ranked.cand.cost.at.push_back(std::move(row));
         }

@@ -16,37 +16,55 @@
 namespace systolize {
 namespace {
 
-NetworkPlan::ChannelSpec chan(const std::string& name, std::int32_t sender,
-                              std::int32_t receiver, Int capacity = 0) {
+/// Channel `link` of pipe `pipe` of stream "s": named "s[pipe].link".
+NetworkPlan::ChannelSpec chan(std::uint32_t pipe, std::uint32_t link,
+                              std::int32_t sender, std::int32_t receiver,
+                              Int capacity = 0) {
   NetworkPlan::ChannelSpec c;
-  c.name = name;
   c.stream = 0;
+  c.pipe = pipe;
+  c.link = link;
   c.capacity = capacity;
   c.sender = sender;
   c.receiver = receiver;
   return c;
 }
 
-NetworkPlan::ProcSpec pass(const std::string& name, std::int32_t in,
-                           std::int32_t out, Int count) {
+/// A process at point `point` of a one-dimensional box from 0: a pass
+/// process there is the external buffer "xbuf:s:(point)".
+NetworkPlan::ProcSpec proc(NetworkPlan::ProcKind kind, std::uint32_t point) {
   NetworkPlan::ProcSpec p;
-  p.name = name;
-  p.kind = NetworkPlan::ProcKind::Pass;
+  p.kind = kind;
+  p.point = point;
+  return p;
+}
+
+NetworkPlan::ProcSpec pass(std::uint32_t point, std::int32_t in,
+                           std::int32_t out, Int count) {
+  NetworkPlan::ProcSpec p = proc(NetworkPlan::ProcKind::Pass, point);
   p.chan_in = in;
   p.chan_out = out;
   p.count = count;
   return p;
 }
 
+/// A plan of stream "s" over the box [0, last].
+NetworkPlan line_plan(Int last) {
+  NetworkPlan plan;
+  plan.streams = {"s"};
+  plan.ps_min = IntVec{0};
+  plan.ps_max = IntVec{last};
+  return plan;
+}
+
 /// Two pass processes in a ring, both receiving first: the canonical
 /// static deadlock.
 NetworkPlan ring_plan() {
-  NetworkPlan plan;
-  plan.streams = {"s"};
-  plan.channels.push_back(chan("s[0].link", 0, 1));
-  plan.channels.push_back(chan("s[1].link", 1, 0));
-  plan.procs.push_back(pass("pass:(0)", 1, 0, 1));
-  plan.procs.push_back(pass("pass:(1)", 0, 1, 1));
+  NetworkPlan plan = line_plan(1);
+  plan.channels.push_back(chan(0, 0, 0, 1));
+  plan.channels.push_back(chan(1, 0, 1, 0));
+  plan.procs.push_back(pass(0, 1, 0, 1));
+  plan.procs.push_back(pass(1, 0, 1, 1));
   return plan;
 }
 
@@ -65,10 +83,10 @@ TEST(VerifyPlan, CommunicationRingIsAStaticDeadlock) {
   // The detail payload is a DeadlockReport::to_json() — the runtime
   // forensics schema, cycle and carrying channels included.
   EXPECT_NE(f->detail.find("\"reason\":\"deadlock\""), std::string::npos);
-  EXPECT_NE(f->detail.find("pass:(0)"), std::string::npos);
-  EXPECT_NE(f->detail.find("pass:(1)"), std::string::npos);
+  EXPECT_NE(f->detail.find("xbuf:s:(0)"), std::string::npos);
+  EXPECT_NE(f->detail.find("xbuf:s:(1)"), std::string::npos);
   EXPECT_NE(f->detail.find("\"cycle\":["), std::string::npos);
-  EXPECT_NE(f->detail.find("s[0].link"), std::string::npos);
+  EXPECT_NE(f->detail.find("s[0].0"), std::string::npos);
   EXPECT_NE(f->detail.find("\"op\":\"recv\""), std::string::npos);
 }
 
@@ -118,19 +136,14 @@ TEST(VerifyPlan, BufferedRingStillDeadlocksWhenCapacityRunsOut) {
 TEST(VerifyPlan, InputPassOutputChainIsClean) {
   // A well-formed 3-process chain with buffered channels: every check
   // passes, including the abstract deadlock execution.
-  NetworkPlan plan;
-  plan.streams = {"s"};
-  plan.channels.push_back(chan("fwd", 0, 1, 1));
-  plan.channels.push_back(chan("bwd", 1, 0, 1));
-  NetworkPlan::ProcSpec p0;
-  p0.name = "input:fwd";
-  p0.kind = NetworkPlan::ProcKind::Input;
+  NetworkPlan plan = line_plan(2);
+  plan.channels.push_back(chan(0, 0, 0, 1, 1));
+  plan.channels.push_back(chan(0, 1, 1, 0, 1));
+  NetworkPlan::ProcSpec p0 = proc(NetworkPlan::ProcKind::Input, 0);
   p0.chan_out = 0;
   p0.count = 1;
-  NetworkPlan::ProcSpec p1 = pass("pass:(1)", 0, 1, 1);
-  NetworkPlan::ProcSpec p2;
-  p2.name = "output:bwd";
-  p2.kind = NetworkPlan::ProcKind::Output;
+  NetworkPlan::ProcSpec p1 = pass(1, 0, 1, 1);
+  NetworkPlan::ProcSpec p2 = proc(NetworkPlan::ProcKind::Output, 2);
   p2.chan_in = 1;
   p2.count = 1;
   plan.procs = {p0, p1, p2};
@@ -152,17 +165,12 @@ TEST(VerifyPlan, TwoWritersOnOneChannel) {
 }
 
 TEST(VerifyPlan, SendRecvCountImbalance) {
-  NetworkPlan plan;
-  plan.streams = {"s"};
-  plan.channels.push_back(chan("c", 0, 1));
-  NetworkPlan::ProcSpec in;
-  in.name = "input:s";
-  in.kind = NetworkPlan::ProcKind::Input;
+  NetworkPlan plan = line_plan(1);
+  plan.channels.push_back(chan(0, 0, 0, 1));
+  NetworkPlan::ProcSpec in = proc(NetworkPlan::ProcKind::Input, 0);
   in.chan_out = 0;
   in.count = 2;
-  NetworkPlan::ProcSpec out;
-  out.name = "output:s";
-  out.kind = NetworkPlan::ProcKind::Output;
+  NetworkPlan::ProcSpec out = proc(NetworkPlan::ProcKind::Output, 1);
   out.chan_in = 0;
   out.count = 1;
   plan.procs = {in, out};
@@ -187,18 +195,15 @@ TEST(VerifyPlan, BadChannelReference) {
   EXPECT_NE(find_rule(rep, "channel.bad-ref"), nullptr) << rep.to_string();
 }
 
-/// A computation process whose two moving roles both receive on `s[0]`
-/// and both send on `s[1]`, in a ring with a pass process: one par set
+/// A computation process whose two moving roles both receive on `s[0].0`
+/// and both send on `s[0].1`, in a ring with a pass process: one par set
 /// names each channel twice, so both of its receives park on one channel
 /// side, in par-entry order.
 NetworkPlan twice_named_ring() {
-  NetworkPlan plan;
-  plan.streams = {"s"};
-  plan.channels.push_back(chan("s[0]", 1, 0));
-  plan.channels.push_back(chan("s[1]", 0, 1));
-  NetworkPlan::ProcSpec comp;
-  comp.name = "comp:(0)";
-  comp.kind = NetworkPlan::ProcKind::Comp;
+  NetworkPlan plan = line_plan(1);
+  plan.channels.push_back(chan(0, 0, 1, 0));
+  plan.channels.push_back(chan(0, 1, 0, 1));
+  NetworkPlan::ProcSpec comp = proc(NetworkPlan::ProcKind::Comp, 0);
   comp.count = 1;
   comp.role_begin = 0;
   comp.role_end = 2;
@@ -208,7 +213,7 @@ NetworkPlan twice_named_ring() {
     role.chan_out = 1;
     plan.roles.push_back(role);
   }
-  plan.procs = {comp, pass("pass:(1)", 1, 0, 2)};
+  plan.procs = {comp, pass(1, 1, 0, 2)};
   return plan;
 }
 
@@ -220,23 +225,19 @@ TEST(VerifyPlan, ParSetNamingOneChannelTwice) {
             "  [error] deadlock.cycle (network): the communication structure "
             "cannot complete: 2 process(es) block forever\n"
             "    deadlock: 3 blocked op(s); blocking cycle: comp:(0) "
-            "-[s[0]]-> pass:(1) -[s[1]]-> comp:(0)\n"
-            "      comp:(0): recv s[0] (t=0, stmts=0)\n"
-            "      comp:(0): recv s[0] (t=0, stmts=0)\n"
-            "      pass:(1): recv s[1] (t=0, stmts=0)");
+            "-[s[0].0]-> xbuf:s:(1) -[s[0].1]-> comp:(0)\n"
+            "      comp:(0): recv s[0].0 (t=0, stmts=0)\n"
+            "      comp:(0): recv s[0].0 (t=0, stmts=0)\n"
+            "      xbuf:s:(1): recv s[0].1 (t=0, stmts=0)");
 
   // Fed by an input instead of the ring, the same par set completes.
   plan.channels[0].sender = 2;
-  plan.procs[1] = pass("pass:(1)", 1, 2, 2);
-  plan.channels.push_back(chan("s[2]", 1, 3));
-  NetworkPlan::ProcSpec in;
-  in.name = "input:s";
-  in.kind = NetworkPlan::ProcKind::Input;
+  plan.procs[1] = pass(1, 1, 2, 2);
+  plan.channels.push_back(chan(0, 2, 1, 3));
+  NetworkPlan::ProcSpec in = proc(NetworkPlan::ProcKind::Input, 0);
   in.chan_out = 0;
   in.count = 2;
-  NetworkPlan::ProcSpec out;
-  out.name = "output:s";
-  out.kind = NetworkPlan::ProcKind::Output;
+  NetworkPlan::ProcSpec out = proc(NetworkPlan::ProcKind::Output, 1);
   out.chan_in = 2;
   out.count = 2;
   plan.procs.push_back(in);

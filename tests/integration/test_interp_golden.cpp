@@ -324,8 +324,11 @@ std::string first_busy_comp(const CompiledProgram& prog, const Design& design,
                             Int n) {
   const std::unique_ptr<NetworkPlan> plan =
       build_plan(prog, design.nest, sizes_for(design, n), PlanShape{});
-  for (const NetworkPlan::ProcSpec& p : plan->procs) {
-    if (p.kind == NetworkPlan::ProcKind::Comp && p.count > 0) return p.name;
+  for (std::size_t i = 0; i < plan->procs.size(); ++i) {
+    const NetworkPlan::ProcSpec& p = plan->procs[i];
+    if (p.kind == NetworkPlan::ProcKind::Comp && p.count > 0) {
+      return proc_name(*plan, i);
+    }
   }
   return {};
 }

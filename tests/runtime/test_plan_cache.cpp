@@ -55,7 +55,7 @@ TEST(PlanCache, ProgramsReusingAnAddressDoNotAlias) {
   auto reference = build_plan(prog, d2.nest, sizes, PlanShape{});
   ASSERT_EQ(second->procs.size(), reference->procs.size());
   for (std::size_t i = 0; i < reference->procs.size(); ++i) {
-    EXPECT_EQ(second->procs[i].name, reference->procs[i].name) << i;
+    EXPECT_EQ(proc_name(*second, i), proc_name(*reference, i)) << i;
   }
   EXPECT_NE(first.get(), second.get());
 }
@@ -87,7 +87,7 @@ TEST(PlanCache, LruEvictsUnderByteBudgetAndKeepsHandedOutPlansValid) {
 
   auto p8 = cache.lookup_or_build(prog, design.nest, probe_sizes, PlanShape{});
   const std::size_t p8_procs = p8->procs.size();
-  const std::string p8_front = p8->procs.front().name;
+  const std::string p8_front = proc_name(*p8, 0);
   (void)cache.lookup_or_build(prog, design.nest, sizes_for(design, 9),
                               PlanShape{});
   (void)cache.lookup_or_build(prog, design.nest, sizes_for(design, 10),
@@ -101,7 +101,7 @@ TEST(PlanCache, LruEvictsUnderByteBudgetAndKeepsHandedOutPlansValid) {
 
   // The evicted n=8 plan we still hold remains fully usable.
   EXPECT_EQ(p8->procs.size(), p8_procs);
-  EXPECT_EQ(p8->procs.front().name, p8_front);
+  EXPECT_EQ(proc_name(*p8, 0), p8_front);
 
   // Re-requesting the evicted size is a plan miss but a template hit.
   const std::size_t misses_before = cache.misses();

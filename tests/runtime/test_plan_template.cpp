@@ -92,8 +92,11 @@ void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
   for (std::size_t i = 0; i < a.channels.size(); ++i) {
     const auto& ca = a.channels[i];
     const auto& cb = b.channels[i];
-    EXPECT_EQ(ca.name, cb.name) << what << " channel " << i;
+    EXPECT_EQ(channel_name(a, i), channel_name(b, i))
+        << what << " channel " << i;
     EXPECT_EQ(ca.stream, cb.stream) << what << " channel " << i;
+    EXPECT_EQ(ca.pipe, cb.pipe) << what << " channel " << i;
+    EXPECT_EQ(ca.link, cb.link) << what << " channel " << i;
     EXPECT_EQ(ca.capacity, cb.capacity) << what << " channel " << i;
     EXPECT_EQ(ca.sender, cb.sender) << what << " channel " << i;
     EXPECT_EQ(ca.receiver, cb.receiver) << what << " channel " << i;
@@ -102,7 +105,7 @@ void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
   for (std::size_t i = 0; i < a.procs.size(); ++i) {
     const auto& pa = a.procs[i];
     const auto& pb = b.procs[i];
-    EXPECT_EQ(pa.name, pb.name) << what << " proc " << i;
+    EXPECT_EQ(proc_name(a, i), proc_name(b, i)) << what << " proc " << i;
     EXPECT_EQ(pa.kind, pb.kind) << what << " proc " << i;
     EXPECT_EQ(pa.clock, pb.clock) << what << " proc " << i;
     EXPECT_EQ(pa.stream, pb.stream) << what << " proc " << i;
@@ -114,7 +117,9 @@ void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
     EXPECT_EQ(pa.role_begin, pb.role_begin) << what << " proc " << i;
     EXPECT_EQ(pa.role_end, pb.role_end) << what << " proc " << i;
     EXPECT_EQ(pa.first_x, pb.first_x) << what << " proc " << i;
-    EXPECT_EQ(pa.place, pb.place) << what << " proc " << i;
+    EXPECT_EQ(pa.point, pb.point) << what << " proc " << i;
+    EXPECT_EQ(pa.buffer, pb.buffer) << what << " proc " << i;
+    EXPECT_EQ(proc_place(a, i), proc_place(b, i)) << what << " proc " << i;
   }
   ASSERT_EQ(a.roles.size(), b.roles.size()) << what;
   for (std::size_t i = 0; i < a.roles.size(); ++i) {
@@ -152,7 +157,10 @@ bool in_box(const IntVec& y, const IntVec& lo, const IntVec& hi) {
 /// point) downstream, with q-1 internal buffers in front of each point
 /// unless buffers are merged, a Comp process at each computation-space
 /// point and an external buffer everywhere else, and carry exactly the
-/// oracle's pipe elements, in order.
+/// oracle's pipe elements, in order. Each process's derived place is the
+/// oracle's point and its derived name is rendered from it; the channels
+/// of a stream's p-th pipe are named "<stream>[p].<link>", links counting
+/// from the input process.
 void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
                                 const Env& sizes, const PlanShape& shape,
                                 const std::string& what) {
@@ -172,8 +180,10 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const NetworkPlan::ProcSpec& p = plan.procs[i];
     if (p.kind != NetworkPlan::ProcKind::Comp) continue;
-    EXPECT_TRUE(comp_at.emplace(p.place, i).second)
-        << what << " two computation processes at " << p.place.to_string();
+    const IntVec y = proc_place(plan, i);
+    EXPECT_TRUE(comp_at.emplace(y, i).second)
+        << what << " two computation processes at " << y.to_string();
+    EXPECT_EQ(proc_name(plan, i), "comp:" + y.to_string()) << what;
   }
   std::size_t cs_points = 0;
   for (const IntVec& y : box) {
@@ -212,15 +222,17 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
   std::size_t pipes = 0;
   auto receiver = [&](std::int32_t chan) -> std::size_t {
     const std::int32_t r = plan.channels[chan].receiver;
-    EXPECT_GE(r, 0) << what << " channel " << plan.channels[chan].name;
+    EXPECT_GE(r, 0) << what << " channel " << channel_name(plan, chan);
     return r < 0 ? 0 : static_cast<std::size_t>(r);
   };
+  std::vector<std::uint32_t> pipes_of_stream(plan.streams.size(), 0);
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const NetworkPlan::ProcSpec& in = plan.procs[i];
     if (in.kind != NetworkPlan::ProcKind::Input) continue;
     ++pipes;
     ++visits[i];
     const std::uint32_t s = in.stream;
+    const std::uint32_t pipe_no = pipes_of_stream[s]++;
     const std::string& name = plan.streams[s];
     const StreamMotion motion = design.spec.motion_of(streams[s]);
     const IntVec& dir = motion.direction;
@@ -228,9 +240,10 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
     const Int inner = shape.merge_internal_buffers ? 0 : q - 1;
     const Int hop_capacity =
         shape.channel_capacity + (shape.merge_internal_buffers ? q - 1 : 0);
-    const IntVec& a = in.place;
+    const IntVec a = proc_place(plan, i);
     const std::string pipe = what + " pipe " + name + " from " + a.to_string();
     EXPECT_EQ(name, streams[s].name()) << pipe;
+    EXPECT_EQ(proc_name(plan, i), "in:" + name + ":" + a.to_string()) << pipe;
     EXPECT_TRUE(in_box(a, lo, hi)) << pipe;
     EXPECT_FALSE(in_box(a - dir, lo, hi)) << pipe << ": not an anchor";
 
@@ -246,10 +259,15 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
     // process on the pipe absorbs the merged buffers, the rest hold
     // `channel_capacity`.
     std::int32_t chan = in.chan_out;
+    std::uint32_t link = 0;
     auto advance = [&](std::int32_t out, Int capacity) {
       const NetworkPlan::ChannelSpec& c = plan.channels[out];
-      EXPECT_EQ(c.stream, s) << pipe << " channel " << c.name;
-      EXPECT_EQ(c.capacity, capacity) << pipe << " channel " << c.name;
+      const std::string cname = channel_name(plan, out);
+      EXPECT_EQ(cname, name + "[" + std::to_string(pipe_no) + "]." +
+                           std::to_string(link++))
+          << pipe;
+      EXPECT_EQ(c.stream, s) << pipe << " channel " << cname;
+      EXPECT_EQ(c.capacity, capacity) << pipe << " channel " << cname;
       chan = out;
     };
     advance(chan, shape.channel_capacity);
@@ -260,7 +278,10 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
         const std::size_t k = receiver(chan);
         const NetworkPlan::ProcSpec& buf = plan.procs[k];
         ASSERT_EQ(buf.kind, NetworkPlan::ProcKind::Pass) << at << " buffer";
-        EXPECT_EQ(buf.place, y) << at << " buffer";
+        EXPECT_EQ(proc_place(plan, k), y) << at << " buffer";
+        EXPECT_EQ(proc_name(plan, k), "buf:" + name + ":" + y.to_string() +
+                                          "#" + std::to_string(b))
+            << at;
         EXPECT_EQ(buf.stream, s) << at << " buffer";
         EXPECT_EQ(buf.count, in.count) << at << " buffer";
         ++visits[k];
@@ -271,13 +292,15 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
       ++visits[k];
       if (oracle.in_computation_space(y)) {
         ASSERT_EQ(proc.kind, NetworkPlan::ProcKind::Comp) << at;
-        EXPECT_EQ(proc.place, y) << at;
+        EXPECT_EQ(proc_place(plan, k), y) << at;
         const NetworkPlan::RoleSpec& role = plan.roles[proc.role_begin + s];
         EXPECT_EQ(role.chan_in, chan) << at;
         advance(role.chan_out, hop_capacity);
       } else {
         ASSERT_EQ(proc.kind, NetworkPlan::ProcKind::Pass) << at << " xbuf";
-        EXPECT_EQ(proc.place, y) << at << " xbuf";
+        EXPECT_EQ(proc_place(plan, k), y) << at << " xbuf";
+        EXPECT_EQ(proc_name(plan, k), "xbuf:" + name + ":" + y.to_string())
+            << at;
         EXPECT_EQ(proc.stream, s) << at << " xbuf";
         EXPECT_EQ(proc.count, in.count) << at << " xbuf";
         advance(proc.chan_out, hop_capacity);
@@ -288,7 +311,9 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
     const NetworkPlan::ProcSpec& out = plan.procs[k];
     ++visits[k];
     ASSERT_EQ(out.kind, NetworkPlan::ProcKind::Output) << pipe;
-    EXPECT_EQ(out.place, tail) << pipe;
+    EXPECT_EQ(proc_place(plan, k), tail) << pipe;
+    EXPECT_EQ(proc_name(plan, k), "out:" + name + ":" + tail.to_string())
+        << pipe;
     EXPECT_EQ(out.stream, s) << pipe;
     EXPECT_EQ(out.elem_begin, in.elem_begin) << pipe;
     EXPECT_EQ(out.elem_end, in.elem_end) << pipe;
@@ -298,7 +323,7 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
   for (std::size_t i = 0; i < plan.procs.size(); ++i) {
     const bool comp = plan.procs[i].kind == NetworkPlan::ProcKind::Comp;
     EXPECT_EQ(visits[i], comp ? streams.size() : 1)
-        << what << " " << plan.procs[i].name;
+        << what << " " << proc_name(plan, i);
   }
   EXPECT_EQ(plan.io_count, 2 * pipes) << what;
 
@@ -306,8 +331,8 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
   // and the processes of one block share its clock.
   if (shape.partition_grid.dim() == 0) {
     EXPECT_EQ(plan.clock_count, 0u) << what;
-    for (const NetworkPlan::ProcSpec& p : plan.procs) {
-      EXPECT_EQ(p.clock, -1) << what << " " << p.name;
+    for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+      EXPECT_EQ(plan.procs[i].clock, -1) << what << " " << proc_name(plan, i);
     }
     return;
   }
@@ -330,12 +355,13 @@ void expect_plan_matches_oracle(const NetworkPlan& plan, const Design& design,
   EXPECT_EQ(plan.clock_count, blocks) << what;
   std::map<IntVec, std::int32_t, IntVecLess> clock_of_block;
   std::map<std::int32_t, IntVec> block_of_clock;
-  for (const NetworkPlan::ProcSpec& p : plan.procs) {
-    const IntVec block = block_of(p.place);
-    EXPECT_EQ(clock_of_block.emplace(block, p.clock).first->second, p.clock)
-        << what << " " << p.name;
-    EXPECT_EQ(block_of_clock.emplace(p.clock, block).first->second, block)
-        << what << " " << p.name;
+  for (std::size_t i = 0; i < plan.procs.size(); ++i) {
+    const std::int32_t clock = plan.procs[i].clock;
+    const IntVec block = block_of(proc_place(plan, i));
+    EXPECT_EQ(clock_of_block.emplace(block, clock).first->second, clock)
+        << what << " " << proc_name(plan, i);
+    EXPECT_EQ(block_of_clock.emplace(clock, block).first->second, block)
+        << what << " " << proc_name(plan, i);
   }
   EXPECT_EQ(clock_of_block.size(), blocks) << what;
 }

@@ -100,15 +100,43 @@ TEST(Server, MalformedLinesGetErrorResponsesNotDisconnects) {
   Response r1 = parse_response(line);
   EXPECT_EQ(r1.status, "error");
   EXPECT_EQ(r1.kind, "Parse");
+  EXPECT_EQ(r1.id, 0);  // not an object: no id to echo
   std::getline(in, line);
   Response r2 = parse_response(line);
   EXPECT_EQ(r2.status, "error");
   EXPECT_EQ(r2.kind, "Validation");
+  EXPECT_EQ(r2.op, "frobnicate");
   std::getline(in, line);
   Response r3 = parse_response(line);
   EXPECT_EQ(r3.status, "ok");
   EXPECT_EQ(r3.id, 3);
   ::close(fd);
+  server.shutdown();
+  server.wait();
+}
+
+// A refused request is answered under its own id and op, so a client
+// that pipelines requests can tell which one was refused.
+TEST(Server, RefusedRequestsEchoTheirIdAndOp) {
+  Server server(fast_server("refused"));
+  server.start();
+  Client client(temp_socket("refused"));
+  Request bad_backend = run_req(7);
+  bad_backend.backend = "foo";
+  Response r = client.call(bad_backend);
+  EXPECT_EQ(r.status, "error");
+  EXPECT_EQ(r.kind, "Validation") << r.message;
+  EXPECT_EQ(r.id, 7);
+  EXPECT_EQ(r.op, "run");
+  Request unknown = run_req(8);
+  unknown.op = "frobnicate";
+  r = client.call(unknown);
+  EXPECT_EQ(r.kind, "Validation") << r.message;
+  EXPECT_EQ(r.id, 8);
+  EXPECT_EQ(r.op, "frobnicate");
+  Response next = client.call(run_req(9));
+  EXPECT_EQ(next.status, "ok") << next.message;
+  EXPECT_EQ(next.id, 9);
   server.shutdown();
   server.wait();
 }

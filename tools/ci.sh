@@ -34,6 +34,22 @@ bench_smoke() {
 run_config "${repo}/build"
 run_config "${repo}/build-asan" -DSYSTOLIZE_SANITIZE=ON
 
+echo "=== link: the CLI is static-pie, the sanitized CLI dynamic ==="
+# src/CMakeLists.txt links the systolize executable -static-pie, so a
+# one-shot process runs no dynamic loader: ELF type DYN (position
+# independent, so ASLR holds) with no PT_INTERP and no NEEDED entry.
+# Sanitizer runtimes need the dynamic loader, so the ASan build keeps its
+# PT_INTERP (docs/performance.md "Cold path").
+cli_elf="$(readelf -h -l -d "${repo}/build/tools/systolize")"
+if ! grep -Eq 'Type: +DYN' <<<"${cli_elf}" ||
+    grep -q 'INTERP' <<<"${cli_elf}" || grep -q '(NEEDED)' <<<"${cli_elf}"; then
+  echo "build/tools/systolize is not static-pie:" >&2
+  grep -E 'Type:|INTERP|NEEDED' <<<"${cli_elf}" >&2; exit 1
+fi
+grep -q 'INTERP' <<<"$(readelf -l "${repo}/build-asan/tools/systolize")" || {
+  echo "build-asan/tools/systolize lost its PT_INTERP (sanitizers need" \
+       "the dynamic loader)" >&2; exit 1; }
+
 # Static-analysis lint: clang-tidy over the sources changed most often by
 # the analysis/search work, with the root .clang-tidy profile (bugprone,
 # performance, concurrency; warnings are errors). Gated on availability —
